@@ -30,7 +30,7 @@ from repro.core.executor import GOLDEN_CACHE
 from repro.core.serialize import SCHEMA_VERSION
 from repro.systolic import Dataflow, MeshConfig
 
-from _common import banner, run_once
+from _common import banner, parallel_capacity, run_once
 
 MESH = MeshConfig.paper()
 REPEATS = 5
@@ -125,6 +125,7 @@ def test_analytic_speedup(benchmark):
         "bench": "analytic_engine",
         "mesh": f"{MESH.rows}x{MESH.cols}",
         "sites": MESH.num_macs,
+        "cores": parallel_capacity(),
         "repeats": REPEATS,
         "speedup_floor": SPEEDUP_FLOOR,
         "sweeps": rows,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.ops.tiling import TilingPlan
 __all__ = [
     "PatternClass",
     "Classification",
+    "classify_batch",
     "classify_cells",
     "classify_pattern",
     "classify_mask",
@@ -93,140 +95,230 @@ class Classification:
     corrupted_channels: tuple[int, ...] = ()
 
 
-def _tile_of(row: int, col: int, plan: TilingPlan) -> tuple[int, int, int, int]:
-    """Map a global output cell to (m_tile, n_tile, local_row, local_col)."""
-    m_tile, local_row = divmod(row, plan.tile_m)
-    n_tile, local_col = divmod(col, plan.tile_n)
-    return m_tile, n_tile, local_row, local_col
+def _gemm_class(
+    cells: int,
+    tiles: int,
+    local_cells: int,
+    local_rows: int,
+    local_cols: int,
+    rows: int,
+    cols: int,
+) -> PatternClass:
+    """The GEMM-space rules, on one pattern's distinct counts: corrupted
+    cells, tiles, within-tile cells, within-tile rows and columns, and
+    global rows and columns."""
+    if cells == 0:
+        return PatternClass.MASKED
+    # One corrupted cell overall: the OS untiled signature.
+    if cells == 1:
+        return PatternClass.SINGLE_ELEMENT
+    # One corrupted cell per tile, identical local coordinates: OS tiled.
+    if local_cells == 1 and cells == tiles and tiles > 1:
+        return PatternClass.SINGLE_ELEMENT_MULTI_TILE
+    # All corruption in one physical (local) column.
+    if local_cols == 1:
+        if cols == 1:
+            return PatternClass.SINGLE_COLUMN
+        return PatternClass.SINGLE_COLUMN_MULTI_TILE
+    # All corruption in one physical (local) row: the IS dataflow's dual.
+    if local_rows == 1:
+        if rows == 1:
+            return PatternClass.SINGLE_ROW
+        return PatternClass.SINGLE_ROW_MULTI_TILE
+    return PatternClass.OTHER
 
 
-def _classify_gemm(mask: np.ndarray, plan: TilingPlan) -> Classification:
-    """Structural classification in GEMM output space."""
-    rows, cols = np.where(mask)
-    return classify_cells(rows, cols, plan)
+def _conv_class(cells: int, channels: int) -> PatternClass:
+    """The convolution rules: one corrupted output channel is
+    ``SINGLE_CHANNEL``, several are ``MULTI_CHANNEL`` (Fig. 3e-3g)."""
+    if cells == 0:
+        return PatternClass.MASKED
+    if channels == 1:
+        return PatternClass.SINGLE_CHANNEL
+    return PatternClass.MULTI_CHANNEL
+
+
+def _scatter(
+    sites: np.ndarray,
+    num_sites: int,
+    keys: list[np.ndarray],
+    widths: list[int],
+) -> tuple[list[np.ndarray], list[list[int]]]:
+    """Mark which keys each site touches, per key array.
+
+    ``keys[q]`` holds one key in ``[0, widths[q])`` per cell. Returns one
+    boolean ``(num_sites, widths[q])`` scatter per key array — row ``s``
+    read left to right is site ``s``'s distinct keys in ascending order —
+    and, per key array, every site's distinct count. The scatters are
+    column slices of one array, counted by one segmented row sum.
+    """
+    bounds = [0, *accumulate(widths)]
+    hits = np.zeros((num_sites, bounds[-1]), dtype=bool)
+    scatters = [hits[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    for scatter, key in zip(scatters, keys):
+        scatter[sites, key] = True
+    distinct = np.add.reduceat(hits, bounds[:-1], axis=1, dtype=np.int64)
+    return scatters, distinct.T.tolist()
+
+
+def _by_site(
+    hits: np.ndarray, counts: list[int], width: int | None = None
+) -> list[tuple]:
+    """Each site's marked keys of one :func:`_scatter` scatter, ascending;
+    ``counts`` is the scatter's per-site distinct count.
+
+    With ``width``, keys packed as ``high * width + low`` unpack to
+    ``(high, low)`` pairs, whose order is then lexicographic.
+    """
+    key = np.nonzero(hits)[1]
+    if width is None:
+        values = key.tolist()
+    else:
+        high, low = np.divmod(key, width)
+        values = list(zip(high.tolist(), low.tolist()))
+    bounds = [0, *accumulate(counts)]
+    return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def classify_batch(
+    sites: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_sites: int,
+    plan: TilingPlan | None,
+    conv: bool = False,
+) -> list[Classification]:
+    """Classify ``num_sites`` corruption patterns from one flat cell list.
+
+    Entry ``i`` of ``sites``/``rows``/``cols`` says GEMM output cell
+    ``(rows[i], cols[i])`` is corrupted in pattern ``sites[i]`` — the
+    layout ``np.nonzero`` yields on a stacked ``(S, M, N)`` mask. Cells
+    must be distinct within a site; pattern order is free. Returns one
+    :class:`Classification` per site, in site order.
+
+    The rules only need per-site distinct counts — of tiles, within-tile
+    cells, within-tile rows and columns, global rows and columns — so the
+    cells' keys (tile and local coordinates by vectorised floor division)
+    are marked in one boolean ``(S, ...)`` scatter whose row sums are
+    those counts; the whole batch costs a fixed number of array passes,
+    and only the rule predicates run per site. In ``conv`` mode the
+    pattern is a lowered convolution, whose GEMM column is the output
+    channel (Section II-B), so it is classified on its channels; the
+    GEMM tiles stay as evidence when a plan is given.
+
+    Raises
+    ------
+    ValueError
+        If ``plan`` is ``None`` outside ``conv`` mode (GEMM classes are
+        defined against the tile grid), or a cell lies outside the plan's
+        ``(m, n)`` output.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    cells = np.bincount(sites, minlength=num_sites).tolist()
+    tiles = local_cells = channels = [()] * num_sites
+    # The keys to count per site; the tile key always comes first.
+    keys: list[np.ndarray] = []
+    widths: list[int] = []
+    if plan is None:
+        if not conv:
+            raise ValueError(
+                "GEMM pattern classification requires the run's tiling plan"
+            )
+    else:
+        if rows.size and (rows.max() >= plan.m or cols.max() >= plan.n):
+            raise ValueError(
+                f"corrupted cells lie outside the plan's {plan.m}x{plan.n} "
+                f"output"
+            )
+        m_tile = rows // plan.tile_m
+        n_tile = cols // plan.tile_n
+        n_grid = -(-plan.n // plan.tile_n)
+        keys.append(m_tile * n_grid + n_tile)
+        widths.append(-(-plan.m // plan.tile_m) * n_grid)
+    if conv:
+        keys.append(cols)
+        widths.append(int(cols.max(initial=0)) + 1)
+    else:
+        local_row = rows - m_tile * plan.tile_m
+        local_col = cols - n_tile * plan.tile_n
+        keys += [
+            local_row * plan.tile_n + local_col,
+            local_row,
+            local_col,
+            rows,
+            cols,
+        ]
+        widths += [
+            plan.tile_m * plan.tile_n,
+            plan.tile_m,
+            plan.tile_n,
+            plan.m,
+            plan.n,
+        ]
+    scatters, counts = _scatter(sites, num_sites, keys, widths)
+    if plan is not None:
+        tiles = _by_site(scatters[0], counts[0], n_grid)
+    if conv:
+        channels = _by_site(scatters[-1], counts[-1])
+        classes = list(map(_conv_class, cells, counts[-1]))
+    else:
+        local_cells = _by_site(scatters[1], counts[1], plan.tile_n)
+        classes = list(map(_gemm_class, cells, *counts))
+    return [
+        Classification(pattern_class=PatternClass.MASKED)
+        if cls is PatternClass.MASKED
+        else Classification(
+            pattern_class=cls,
+            corrupted_tiles=site_tiles,
+            local_cells=site_locals,
+            corrupted_channels=site_channels,
+        )
+        for cls, site_tiles, site_locals, site_channels in zip(
+            classes, tiles, local_cells, channels
+        )
+    ]
 
 
 def classify_cells(
     rows: np.ndarray, cols: np.ndarray, plan: TilingPlan
 ) -> Classification:
-    """Classify corrupted GEMM cell coordinates directly.
+    """Classify one pattern's corrupted GEMM cell coordinates.
 
-    Identical rules to :func:`classify_mask`, minus the ``np.where`` —
-    for callers that already hold the corrupted coordinates, notably the
-    analytic engine, which extracts every site's nonzero cells from one
-    batched pass and classifies each site without re-scanning its mask.
+    :func:`classify_batch` for a batch of one — for callers that already
+    hold the corrupted coordinates of a single pattern.
     """
-    if rows.size == 0:
-        return Classification(pattern_class=PatternClass.MASKED)
-
-    # One corrupted cell overall (the OS untiled signature) needs no set
-    # machinery; exhaustive OS sweeps hit this for every site.
-    if rows.size == 1:
-        m_tile, n_tile, local_row, local_col = _tile_of(
-            int(rows[0]), int(cols[0]), plan
-        )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ELEMENT,
-            corrupted_tiles=((m_tile, n_tile),),
-            local_cells=((local_row, local_col),),
-        )
-
-    tiles: set[tuple[int, int]] = set()
-    locals_: set[tuple[int, int]] = set()
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        m_tile, n_tile, local_row, local_col = _tile_of(row, col, plan)
-        tiles.add((m_tile, n_tile))
-        locals_.add((local_row, local_col))
-
-    local_cols = {c for _, c in locals_}
-    evidence = dict(
-        corrupted_tiles=tuple(sorted(tiles)),
-        local_cells=tuple(sorted(locals_)),
-    )
-
-    # One corrupted cell per tile, identical local coordinates: OS tiled.
-    if len(locals_) == 1 and rows.size == len(tiles) and len(tiles) > 1:
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ELEMENT_MULTI_TILE, **evidence
-        )
-
-    # All corruption in one physical (local) column.
-    if len(local_cols) == 1:
-        global_cols = set(cols.tolist())
-        if len(global_cols) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_COLUMN, **evidence
-            )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_COLUMN_MULTI_TILE, **evidence
-        )
-
-    # All corruption in one physical (local) row: the IS dataflow's dual.
-    local_rows = {r for r, _ in locals_}
-    if len(local_rows) == 1:
-        global_rows = set(rows.tolist())
-        if len(global_rows) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_ROW, **evidence
-            )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ROW_MULTI_TILE, **evidence
-        )
-
-    return Classification(pattern_class=PatternClass.OTHER, **evidence)
+    rows = np.asarray(rows, dtype=np.int64)
+    sites = np.zeros(rows.size, dtype=np.int64)
+    return classify_batch(sites, rows, cols, 1, plan)[0]
 
 
 def classify_mask(mask: np.ndarray, plan: TilingPlan) -> Classification:
     """Classify a raw GEMM-space corruption mask against a tiling plan.
 
     The same structural rules as :func:`classify_pattern`, exposed for
-    callers that have a mask but no :class:`FaultPattern` — notably the
-    analytical predictor, which classifies its own support through this
-    function so that predicted and observed classes can never diverge on
-    degenerate shapes (e.g. a one-row output, where a "full column" and a
-    "single element" are the same set of cells).
+    callers that have a mask but no :class:`FaultPattern`.
     """
-    return _classify_gemm(np.asarray(mask, dtype=bool), plan)
+    rows, cols = np.nonzero(np.asarray(mask, dtype=bool))
+    return classify_cells(rows, cols, plan)
 
 
 def classify_pattern(pattern: FaultPattern) -> Classification:
     """Assign a :class:`PatternClass` to an extracted fault pattern.
 
     GEMM patterns are classified on the 2-D output matrix against the
-    tiling plan. Convolution patterns are classified on the channel
-    structure of the ``(N, K, P, Q)`` output: one corrupted channel is
-    ``SINGLE_CHANNEL``, several are ``MULTI_CHANNEL``, matching how the
-    paper reads Fig. 3e-3g.
+    tiling plan. Convolution patterns are classified on their output
+    channels, with the GEMM-space tiles as evidence when the pattern
+    carries a plan (see :func:`classify_batch`).
 
     Raises
     ------
     ValueError
-        If the pattern carries no tiling plan (required for GEMM
-        classification).
+        If a GEMM pattern carries no tiling plan.
     """
-    if pattern.is_conv:
-        channels = pattern.corrupted_channels()
-        # Evidence in GEMM space is still useful for diagnostics.
-        gemm_evidence: tuple[tuple[int, int], ...] = ()
-        if pattern.plan is not None:
-            gemm = _classify_gemm(pattern.gemm_mask(), pattern.plan)
-            gemm_evidence = gemm.corrupted_tiles
-        if not channels:
-            return Classification(pattern_class=PatternClass.MASKED)
-        if len(channels) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_CHANNEL,
-                corrupted_channels=channels,
-                corrupted_tiles=gemm_evidence,
-            )
-        return Classification(
-            pattern_class=PatternClass.MULTI_CHANNEL,
-            corrupted_channels=channels,
-            corrupted_tiles=gemm_evidence,
-        )
-
-    if pattern.plan is None:
-        raise ValueError(
-            "GEMM pattern classification requires the run's tiling plan"
-        )
-    return _classify_gemm(pattern.gemm_mask(), pattern.plan)
+    rows, cols = np.nonzero(pattern.gemm_mask())
+    sites = np.zeros(rows.size, dtype=np.int64)
+    return classify_batch(
+        sites, rows, cols, 1, pattern.plan, conv=pattern.is_conv
+    )[0]

@@ -38,16 +38,22 @@ TensorFI/LLTFI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.classifier import PatternClass, classify_mask
+from repro.core.classifier import Classification, PatternClass, classify_batch
 from repro.faults.sites import FaultSite
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
 from repro.systolic.dataflow import Dataflow
 
-__all__ = ["PredictedPattern", "predict_pattern", "predict_class"]
+__all__ = [
+    "PredictedPattern",
+    "predict_pattern",
+    "predict_class",
+    "predict_classes",
+]
 
 
 @dataclass(frozen=True)
@@ -85,39 +91,65 @@ class PredictedPattern:
         )
 
 
-def _os_support(site: FaultSite, plan: TilingPlan) -> np.ndarray:
-    """OS support: local element ``(r, c)`` replicated over output tiles."""
-    support = np.zeros((plan.m, plan.n), dtype=bool)
-    rows = plan.output_rows_for_mesh_row(site.row) if site.row < plan.tile_m else ()
-    cols = plan.output_cols_for_mesh_col(site.col) if site.col < plan.tile_n else ()
-    for row in rows:
-        for col in cols:
-            support[row, col] = True
-    return support
+def _lines(coords: np.ndarray, tile: int, extent: int) -> np.ndarray:
+    """``(S, extent)`` bool: the global output lines (rows or columns)
+    mapped onto each site's mesh coordinate along one dimension.
 
-
-def _ws_support(site: FaultSite, plan: TilingPlan) -> np.ndarray:
-    """WS support: every output column mapped to mesh column ``c``."""
-    support = np.zeros((plan.m, plan.n), dtype=bool)
-    cols = plan.output_cols_for_mesh_col(site.col) if site.col < plan.tile_n else ()
-    for col in cols:
-        support[:, col] = True
-    return support
-
-
-def _is_support(site: FaultSite, plan: TilingPlan) -> np.ndarray:
-    """IS support: every output *row* mapped to mesh column ``c``.
-
-    The input-stationary dataflow executes the transposed GEMM under WS,
-    so the WS column rule applies in transposed output space — a fault in
-    mesh column ``c`` corrupts output rows ``c``, ``c + tile_m``, ...
-    across their full width. The mesh row is irrelevant, exactly as for WS.
+    Output tiles start at multiples of ``tile``, so line ``j`` lies at
+    mesh coordinate ``j % tile``; a coordinate at or beyond ``tile``, or
+    beyond a ragged edge tile, maps to no line of that tile.
     """
-    support = np.zeros((plan.m, plan.n), dtype=bool)
-    rows = plan.output_rows_for_mesh_col(site.col) if site.col < plan.tile_m else ()
-    for row in rows:
-        support[row, :] = True
-    return support
+    return np.arange(extent)[None, :] % tile == coords[:, None]
+
+
+def _support(sites: Sequence[FaultSite], plan: TilingPlan) -> np.ndarray:
+    """Boolean ``(S, M, N)`` support of every site: the outer product of
+    the output rows and output columns the site's MAC is mapped onto.
+
+    * **OS** — PE ``(r, c)`` owns local element ``(r, c)`` of every
+      output tile: rows of mesh row ``r`` x columns of mesh column ``c``.
+    * **WS** — partial sums of physical column ``c`` pass through PE
+      ``(r, c)`` for every output row: all rows x columns of mesh column
+      ``c``. The mesh *row* is irrelevant (position independence).
+    * **IS** — the transposed WS execution: output *rows* of mesh column
+      ``c`` (the output-row dimension lies across mesh columns) x all
+      columns. The mesh row is irrelevant, exactly as for WS.
+    """
+    rows = np.array([site.row for site in sites], dtype=np.int64)
+    cols = np.array([site.col for site in sites], dtype=np.int64)
+    if plan.dataflow is Dataflow.OUTPUT_STATIONARY:
+        row_lines = _lines(rows, plan.tile_m, plan.m)
+        col_lines = _lines(cols, plan.tile_n, plan.n)
+    elif plan.dataflow is Dataflow.WEIGHT_STATIONARY:
+        row_lines = np.ones((len(sites), plan.m), dtype=bool)
+        col_lines = _lines(cols, plan.tile_n, plan.n)
+    elif plan.dataflow is Dataflow.INPUT_STATIONARY:
+        row_lines = _lines(cols, plan.tile_m, plan.m)
+        col_lines = np.ones((len(sites), plan.n), dtype=bool)
+    else:
+        raise ValueError(f"unsupported dataflow: {plan.dataflow!r}")
+    return row_lines[:, :, None] & col_lines[:, None, :]
+
+
+def _predict(
+    sites: Sequence[FaultSite],
+    plan: TilingPlan,
+    geometry: ConvGeometry | None,
+) -> tuple[np.ndarray, list[Classification]]:
+    """Every site's support and its classification.
+
+    The support goes through the SAME structural rules the observed
+    patterns go through (:func:`~repro.core.classifier.classify_batch`),
+    so prediction and classification agree by construction, including on
+    degenerate shapes (one-row outputs, where a full column and a single
+    element are the same cell set). A convolution is classified in
+    channel space.
+    """
+    support = _support(sites, plan)
+    classifications = classify_batch(
+        *np.nonzero(support), len(sites), plan, conv=geometry is not None
+    )
+    return support, classifications
 
 
 def predict_pattern(
@@ -142,40 +174,17 @@ def predict_pattern(
     Raises
     ------
     ValueError
-        If the site lies outside the mesh implied by the plan's tile sizes
-        is not checked here — sites are validated at construction — but an
-        unsupported dataflow raises.
+        If the plan's dataflow is not OS, WS or IS. The site is not
+        range-checked here: sites are validated at construction, and a
+        MAC outside the plan's tiles simply has an empty support.
     """
-    if plan.dataflow is Dataflow.OUTPUT_STATIONARY:
-        support = _os_support(site, plan)
-    elif plan.dataflow is Dataflow.WEIGHT_STATIONARY:
-        support = _ws_support(site, plan)
-    elif plan.dataflow is Dataflow.INPUT_STATIONARY:
-        support = _is_support(site, plan)
-    else:
-        raise ValueError(f"unsupported dataflow: {plan.dataflow!r}")
-
-    rows, cols = np.where(support)
-    num = rows.size
-
-    if geometry is not None:
-        channels = tuple(sorted({int(c) for c in cols}))
-        if num == 0:
-            cls = PatternClass.MASKED
-        elif len(channels) == 1:
-            cls = PatternClass.SINGLE_CHANNEL
-        else:
-            cls = PatternClass.MULTI_CHANNEL
-        return PredictedPattern(
-            site=site, support=support, pattern_class=cls, channels=channels
-        )
-
-    # Classify the support through the SAME structural rules the observed
-    # patterns go through: this makes prediction and classification agree
-    # by construction, including on degenerate shapes (one-row outputs,
-    # where a full column and a single element are the same cell set).
-    cls = classify_mask(support, plan).pattern_class
-    return PredictedPattern(site=site, support=support, pattern_class=cls)
+    support, (classification,) = _predict([site], plan, geometry)
+    return PredictedPattern(
+        site=site,
+        support=support[0],
+        pattern_class=classification.pattern_class,
+        channels=classification.corrupted_channels,
+    )
 
 
 def predict_class(
@@ -185,3 +194,17 @@ def predict_class(
 ) -> PatternClass:
     """Shortcut returning only the predicted :class:`PatternClass`."""
     return predict_pattern(site, plan, geometry=geometry).pattern_class
+
+
+def predict_classes(
+    sites: Sequence[FaultSite],
+    plan: TilingPlan,
+    geometry: ConvGeometry | None = None,
+) -> list[PatternClass]:
+    """:func:`predict_class` for many sites in one batched pass.
+
+    Returns one predicted class per entry of ``sites``, in order — equal
+    to ``[predict_class(site, plan, geometry) for site in sites]``.
+    """
+    _, classifications = _predict(sites, plan, geometry)
+    return [classification.pattern_class for classification in classifications]

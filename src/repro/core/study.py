@@ -25,7 +25,7 @@ from repro.core.campaign import (
 )
 from repro.core.classifier import PatternClass
 from repro.core.executor import ParallelExecutor, SerialExecutor
-from repro.core.predictor import predict_class
+from repro.core.predictor import predict_classes
 from repro.core.reports import format_markdown_table, format_table
 from repro.core.sampling import paper_configurations
 from repro.faults.sites import FaultSite
@@ -134,15 +134,14 @@ def _expected_class(
     mesh: MeshConfig,
 ) -> PatternClass:
     """The theory's answer: dominant predicted class over non-masked sites."""
+    sites = [
+        FaultSite(row, col) for row in range(mesh.rows) for col in range(mesh.cols)
+    ]
     counts: dict[PatternClass, int] = {}
-    for row in range(mesh.rows):
-        for col in range(mesh.cols):
-            cls = predict_class(
-                FaultSite(row, col), result.plan, geometry=result.geometry
-            )
-            if cls is PatternClass.MASKED:
-                continue
-            counts[cls] = counts.get(cls, 0) + 1
+    for cls in predict_classes(sites, result.plan, geometry=result.geometry):
+        if cls is PatternClass.MASKED:
+            continue
+        counts[cls] = counts.get(cls, 0) + 1
     if not counts:
         return PatternClass.MASKED
     return max(counts.items(), key=lambda item: item[1])[0]

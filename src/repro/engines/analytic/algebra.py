@@ -77,6 +77,9 @@ def os_chain_tile(
     rows: np.ndarray,
     cols: np.ndarray,
     lens: FaultLens,
+    tile_shape: tuple[int, int] | None = None,
+    row_base: np.ndarray | int = 0,
+    col_base: np.ndarray | int = 0,
 ) -> np.ndarray:
     """Advance per-site OS accumulators through one reduction tile.
 
@@ -87,19 +90,28 @@ def os_chain_tile(
         reduction tile: the chained partial of the preceding tiles,
         exactly the bias the engine would receive.
     a_tile, b_tile:
-        The wrapped operand tiles ``(mt, kt)`` and ``(kt, nt)``.
+        The wrapped operand panels ``(M, kt)`` and ``(kt, N)``.
     rows, cols:
         int64 ``(S,)`` MAC coordinates per site; every site must satisfy
         ``rows < mt`` and ``cols < nt`` (callers filter inactive sites).
     lens:
         The stuck-at family being forced.
+    tile_shape:
+        The output tile's ``(mt, nt)``; defaults to the panels' full
+        ``(M, N)``, i.e. the panels are one output tile's operands.
+    row_base, col_base:
+        Per-site origin of the site's output tile within the panels:
+        PE ``(r, c)`` reads A row ``row_base + r`` and B column
+        ``col_base + c``. One call can thus advance ``(site, tile)``
+        pairs from every output tile of one shape, since the cycle skew
+        depends only on the local ``r + c``.
 
     Returns the ``(S,)`` accumulators after the tile's full cycle count
     ``(mt-1) + (nt-1) + kt`` — including the idle cycles during pipeline
     fill/drain, whose zero operands still pass the forced datapath.
     """
-    mt, kt = a_tile.shape
-    nt = b_tile.shape[1]
+    kt = a_tile.shape[1]
+    mt, nt = tile_shape or (a_tile.shape[0], b_tile.shape[1])
     total = (mt - 1) + (nt - 1) + max(kt, 1)
     # Per-site operand streams: at cycle t, PE (r, c) sees reduction step
     # t - r - c; steps outside [0, kt) are idle and stream zeros. Forcing
@@ -108,8 +120,8 @@ def os_chain_tile(
     steps = np.arange(total, dtype=np.int64)[None, :] - (rows + cols)[:, None]
     live = (steps >= 0) & (steps < kt)
     index = np.clip(steps, 0, kt - 1)
-    av = np.where(live, a_tile[rows[:, None], index], 0)
-    bv = np.where(live, b_tile[index, cols[:, None]], 0)
+    av = np.where(live, a_tile[(row_base + rows)[:, None], index], 0)
+    bv = np.where(live, b_tile[index, (col_base + cols)[:, None]], 0)
     if lens.signal == SIGNAL_A_REG:
         av = force_bit_array(av, lens.bit, lens.stuck, lens.input_dtype)
     elif lens.signal == SIGNAL_B_REG:
@@ -154,7 +166,9 @@ def ws_chain_tile(
         this reduction tile (the bias column the engine would receive).
     a_tile, w_tile:
         The wrapped activation ``(mt, kt)`` and weight ``(kt, nt)``
-        tiles.
+        tiles. Every output row's chain is independent of the others,
+        so ``mt`` may span any number of output tiles — up to the full
+        output height.
     site_rows, site_cols:
         int64 ``(S,)`` MAC coordinates; every site must satisfy
         ``site_cols < nt``. ``site_rows`` ranges over *all* mesh rows —
@@ -182,25 +196,26 @@ def ws_chain_tile(
         raise ValueError(
             f"weight tile of {kt} rows exceeds the {mesh_rows}-row mesh"
         )
-    num_sites = len(site_cols)
-    sidx = np.arange(num_sites, dtype=np.int64)
-    # Wrapped product contributions prods[m, j, s] = wrap(A[m,j] * W[j,c_s])
+    # Wrapped product contributions prods[m, j, u] = wrap(A[m,j] * W[j,u])
     # for mesh rows j < kt; rows beyond the weight tile contribute zero.
+    # They depend on the mesh column only, so they (and their prefix sums)
+    # are computed once per distinct column and shared by its sites.
+    columns, column_of = np.unique(site_cols, return_inverse=True)
     prods = wrap_array(
-        a_tile[:, :, None] * w_tile[:, site_cols][None, :, :], lens.acc_dtype
+        a_tile[:, :, None] * w_tile[:, columns][None, :, :], lens.acc_dtype
     )
     csum = np.concatenate(
         [
-            np.zeros((mt, 1, num_sites), dtype=np.int64),
+            np.zeros((mt, 1, len(columns)), dtype=np.int64),
             np.cumsum(prods, axis=1),
         ],
         axis=1,
     )
     live = site_rows < kt
     at_idx = np.where(live, site_rows, 0)
-    prefix = csum[:, np.minimum(site_rows, kt), sidx]
-    total = csum[:, kt, :]
-    prod_at = np.where(live[None, :], prods[:, at_idx, sidx], 0)
+    prefix = csum[:, np.minimum(site_rows, kt), column_of]
+    total = csum[:, kt, column_of]
+    prod_at = np.where(live[None, :], prods[:, at_idx, column_of], 0)
     suffix = total - prefix - prod_at
     if lens.signal == SIGNAL_SUM:
         product = prod_at

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.campaign import Campaign, ExperimentResult
-from repro.core.classifier import classify_cells, classify_pattern
+from repro.core.classifier import classify_batch
 from repro.core.fault_patterns import FaultPattern
 from repro.engines.analytic.algebra import (
     FaultLens,
@@ -36,7 +36,7 @@ from repro.faults.model import FaultDescriptor
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_RECORDER
 from repro.ops.im2col import ConvGeometry, im2col, kernel_to_matrix
-from repro.ops.tiling import TilingPlan
+from repro.ops.tiling import TileRange, TilingPlan
 from repro.systolic.dataflow import Dataflow
 from repro.systolic.datatypes import wrap_array
 
@@ -219,47 +219,54 @@ def _evaluate_closed_form(
             lens,
         )
 
-    if geometry is None:
-        dev_out = deviation
-    else:
-        dev_out = deviation.reshape(
-            len(supported), geometry.n, geometry.p, geometry.q, geometry.k
-        ).transpose(0, 1, 4, 2, 3)
-    mask_out = dev_out != 0
-
     # One batched pass over the whole deviation tensor replaces the
-    # per-site mask scans (sum / abs-max / np.where each cost a numpy
-    # dispatch; at hundreds of sites that overhead rivals the kernels).
-    # ``deviation`` is GEMM-spaced for GEMM and conv alike, counts and
-    # maxima are layout-invariant, and ``np.nonzero`` on the 3-D stack
-    # yields every site's cells grouped in site order.
+    # per-site mask scans. ``deviation`` is GEMM-spaced for GEMM and conv
+    # alike, counts and maxima are layout-invariant, and ``np.nonzero`` on
+    # the 3-D stack yields every site's cells as the flat (site, row, col)
+    # arrays the batched classifier takes. The largest |deviation| is
+    # max(max, -min): two reductions instead of an |x| copy of the stack.
     gemm_mask = deviation != 0
-    counts = gemm_mask.sum(axis=(1, 2), dtype=np.int64)
-    maxima = np.abs(deviation).max(axis=(1, 2))
-    _, cell_rows, cell_cols = np.nonzero(gemm_mask)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    counts = gemm_mask.sum(axis=(1, 2), dtype=np.int64).tolist()
+    maxima = np.maximum(
+        deviation.max(axis=(1, 2)), -deviation.min(axis=(1, 2))
+    ).tolist()
+    classifications = classify_batch(
+        *np.nonzero(gemm_mask), len(supported), plan, conv=geometry is not None
+    )
+
+    patterns: list[FaultPattern | None] = [None] * len(supported)
+    if campaign.keep_patterns:
+        if geometry is None:
+            dev_out = deviation
+        else:
+            dev_out = deviation.reshape(
+                len(supported), geometry.n, geometry.p, geometry.q, geometry.k
+            ).transpose(0, 1, 4, 2, 3)
+        mask_out = dev_out != 0
+        patterns = [
+            FaultPattern(
+                mask=mask_out[position],
+                deviation=dev_out[position],
+                plan=plan,
+                geometry=geometry,
+            )
+            for position in range(len(supported))
+        ]
 
     for position, index in enumerate(supported):
-        pattern = FaultPattern(
-            mask=mask_out[position],
-            deviation=dev_out[position],
-            plan=plan,
-            geometry=geometry,
-        )
-        if geometry is None:
-            lo, hi = offsets[position], offsets[position + 1]
-            classification = classify_cells(
-                cell_rows[lo:hi], cell_cols[lo:hi], plan
-            )
-        else:
-            classification = classify_pattern(pattern)
         results[index] = ExperimentResult(
             site=faults[index].site,
-            classification=classification,
-            num_corrupted=int(counts[position]),
-            max_abs_deviation=int(maxima[position]) if counts[position] else 0,
-            pattern=pattern if campaign.keep_patterns else None,
+            classification=classifications[position],
+            num_corrupted=counts[position],
+            max_abs_deviation=maxima[position],
+            pattern=patterns[position],
         )
+
+
+#: Upper bound on the (site, tile) pairs one OS kernel call advances:
+#: the kernel's per-pair working set is a few ``(pairs, cycles)`` int64
+#: streams, so large tile grids (lowered convolutions) go in chunks.
+_OS_PAIRS_PER_CALL = 1 << 12
 
 
 def _group_deviation(
@@ -277,87 +284,148 @@ def _group_deviation(
 ) -> None:
     """Scatter one lens group's per-site deltas into ``deviation``.
 
-    Walks the tiling plan exactly as :class:`~repro.ops.gemm.TiledGemm`
-    does — output tiles in row-major order, reduction tiles chained
-    through each output tile's accumulator — advancing every site's
-    faulty state with the dataflow's kernel, then writes
-    ``faulty - golden`` at the coordinates the fault reaches. Sites
-    architecturally masked for a tile's shape (its MAC falls outside the
-    occupied mesh region) are simply skipped: their delta stays zero.
+    Reproduces :class:`~repro.ops.gemm.TiledGemm`'s walk of the tiling
+    plan — reduction tiles chained through each output tile's
+    accumulator — advancing every site's faulty state with the
+    dataflow's kernel, then writes ``faulty - golden`` at the
+    coordinates the fault reaches. Sites architecturally masked for a
+    tile's shape (their MAC falls outside the occupied mesh region) are
+    simply skipped: their delta stays zero.
     """
-    for m_range, n_range in plan.output_tiles():
-        mt = m_range.size
-        nt = n_range.size
-        g_tile = gemm_golden[
-            m_range.start : m_range.stop, n_range.start : n_range.stop
-        ]
-        a_rows = a[m_range.start : m_range.stop]
+    if dataflow is Dataflow.OUTPUT_STATIONARY:
+        _os_deviation(
+            deviation, positions, rows, cols, a, b, gemm_golden, plan, lens
+        )
+    elif dataflow is Dataflow.WEIGHT_STATIONARY:
+        _ws_deviation(
+            deviation,
+            positions,
+            rows,
+            cols,
+            a,
+            b,
+            gemm_golden,
+            plan.n_tiles,
+            plan.k_tiles,
+            mesh_rows,
+            lens,
+        )
+    elif dataflow is Dataflow.INPUT_STATIONARY:
+        # IS is WS on the transposed problem (as in the engines): mesh
+        # column c computes output *row* c of every tile. The transposed
+        # deviation view writes through to the GEMM-spaced stack.
+        _ws_deviation(
+            deviation.transpose(0, 2, 1),
+            positions,
+            rows,
+            cols,
+            b.T,
+            a.T,
+            gemm_golden.T,
+            plan.m_tiles,
+            plan.k_tiles,
+            mesh_rows,
+            lens,
+        )
+    else:
+        raise ValueError(f"unsupported dataflow: {dataflow!r}")
+
+
+def _ws_deviation(
+    deviation: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    gemm_golden: np.ndarray,
+    col_tiles: Sequence[TileRange],
+    k_tiles: Sequence[TileRange],
+    mesh_rows: int,
+    lens: FaultLens,
+) -> None:
+    """WS deltas, one full-height pass per output column tile.
+
+    Mesh column c computes output column c of every tile, and each
+    output row's partial-sum chain is independent of every other row's
+    (:func:`ws_chain_tile` is elementwise in the row), so the row tiles
+    of one column tile collapse into a single pass over all ``M`` rows.
+    """
+    out_rows = np.arange(deviation.shape[1], dtype=np.int64)
+    for n_range in col_tiles:
+        active = cols < n_range.size
+        if not active.any():
+            continue
+        r = rows[active]
+        c = cols[active]
         b_cols = b[:, n_range.start : n_range.stop]
-        if dataflow is Dataflow.OUTPUT_STATIONARY:
-            # PE (r, c) owns element (r, c) of every output tile.
-            active = (rows < mt) & (cols < nt)
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros(len(r), dtype=np.int64)
+        state = np.zeros((len(out_rows), len(c)), dtype=np.int64)
+        for k_range in k_tiles:
+            state = ws_chain_tile(
+                state,
+                a[:, k_range.start : k_range.stop],
+                b_cols[k_range.start : k_range.stop],
+                r,
+                c,
+                mesh_rows,
+                lens,
+            )
+        out_cols = n_range.start + c
+        deviation[
+            positions[active][:, None], out_rows[None, :], out_cols[:, None]
+        ] = (state - gemm_golden[:, out_cols]).T
+
+
+def _os_deviation(
+    deviation: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    gemm_golden: np.ndarray,
+    plan: TilingPlan,
+    lens: FaultLens,
+) -> None:
+    """OS deltas, one kernel pass per output-tile shape.
+
+    PE (r, c) owns element (r, c) of every output tile. Tiles of equal
+    shape share the cycle count and each PE's skew ``r + c``, so every
+    ``(site, tile)`` pair of a shape — at most four shapes with ragged
+    edges — advances in one :func:`os_chain_tile` call per reduction
+    tile, reading operands at the pair's global coordinates.
+    """
+    shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m_range, n_range in plan.output_tiles():
+        shapes.setdefault((m_range.size, n_range.size), []).append(
+            (m_range.start, n_range.start)
+        )
+    for (mt, nt), origins in shapes.items():
+        active = np.flatnonzero((rows < mt) & (cols < nt))
+        if not active.size:
+            continue
+        step = max(1, _OS_PAIRS_PER_CALL // active.size)
+        for lo in range(0, len(origins), step):
+            # Every (site, tile) pair of the chunk, site-major.
+            tiles = np.array(origins[lo : lo + step], dtype=np.int64)
+            pair_site = np.repeat(active, len(tiles))
+            r = rows[pair_site]
+            c = cols[pair_site]
+            m0 = np.tile(tiles[:, 0], active.size)
+            n0 = np.tile(tiles[:, 1], active.size)
+            state = np.zeros(len(pair_site), dtype=np.int64)
             for k_range in plan.k_tiles:
                 state = os_chain_tile(
                     state,
-                    a_rows[:, k_range.start : k_range.stop],
-                    b_cols[k_range.start : k_range.stop],
+                    a[:, k_range.start : k_range.stop],
+                    b[k_range.start : k_range.stop],
                     r,
                     c,
                     lens,
+                    tile_shape=(mt, nt),
+                    row_base=m0,
+                    col_base=n0,
                 )
-            deviation[
-                positions[active], m_range.start + r, n_range.start + c
-            ] = state - g_tile[r, c]
-        elif dataflow is Dataflow.WEIGHT_STATIONARY:
-            # Mesh column c computes output column c of every tile; the
-            # fault row only positions the forcing within the chain.
-            active = cols < nt
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros((mt, len(c)), dtype=np.int64)
-            for k_range in plan.k_tiles:
-                state = ws_chain_tile(
-                    state,
-                    a_rows[:, k_range.start : k_range.stop],
-                    b_cols[k_range.start : k_range.stop],
-                    r,
-                    c,
-                    mesh_rows,
-                    lens,
-                )
-            delta = state - g_tile[:, c]
-            deviation[
-                positions[active][:, None],
-                np.arange(m_range.start, m_range.stop, dtype=np.int64)[None, :],
-                (n_range.start + c)[:, None],
-            ] = delta.T
-        elif dataflow is Dataflow.INPUT_STATIONARY:
-            # IS is WS on the transposed problem (as in the engines):
-            # mesh column c computes output *row* c of every tile.
-            active = cols < mt
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros((nt, len(c)), dtype=np.int64)
-            for k_range in plan.k_tiles:
-                a_tile = a_rows[:, k_range.start : k_range.stop]
-                b_tile = b_cols[k_range.start : k_range.stop]
-                state = ws_chain_tile(
-                    state, b_tile.T, a_tile.T, r, c, mesh_rows, lens
-                )
-            delta = state - g_tile[c, :].T
-            deviation[
-                positions[active][:, None],
-                (m_range.start + c)[:, None],
-                np.arange(n_range.start, n_range.stop, dtype=np.int64)[None, :],
-            ] = delta.T
-        else:
-            raise ValueError(f"unsupported dataflow: {dataflow!r}")
+            deviation[positions[pair_site], m0 + r, n0 + c] = (
+                state - gemm_golden[m0 + r, n0 + c]
+            )

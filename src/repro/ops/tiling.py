@@ -118,7 +118,7 @@ class TilingPlan:
                 yield m_range, n_range
 
     # ------------------------------------------------------------------
-    # Fault geometry helpers (used by the predictor)
+    # Fault geometry helpers (used by the vulnerability model)
     # ------------------------------------------------------------------
     def output_rows_for_mesh_row(self, mesh_row: int) -> tuple[int, ...]:
         """Global output rows mapped onto mesh row ``mesh_row`` (OS only)."""
@@ -137,22 +137,6 @@ class TilingPlan:
             if col < n_range.stop:
                 cols.append(col)
         return tuple(cols)
-
-    def output_rows_for_mesh_col(self, mesh_col: int) -> tuple[int, ...]:
-        """Global output rows mapped onto mesh column ``mesh_col`` (IS only).
-
-        Under the input-stationary dataflow the output-row dimension is
-        laid across mesh *columns* (the transposed-WS execution), so a
-        fault in mesh column ``c`` touches output rows ``c``, ``c +
-        tile_m``, ... wherever the (possibly ragged) row tiles extend that
-        far.
-        """
-        rows = []
-        for m_range in self.m_tiles:
-            row = m_range.start + mesh_col
-            if row < m_range.stop:
-                rows.append(row)
-        return tuple(rows)
 
 
 def plan_gemm_tiling(

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.classifier import PatternClass
-from repro.core.predictor import predict_class, predict_pattern
+from repro.core.predictor import predict_class, predict_classes, predict_pattern
+from repro.core.sampling import paper_configurations
 from repro.faults.sites import FaultSite
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import plan_gemm_tiling
@@ -126,3 +127,52 @@ class TestPredictorVsSimulation:
             )
             assert pred.pattern_class is experiment.pattern_class
             assert pred.channels == experiment.classification.corrupted_channels
+
+
+def _table_one_plans():
+    """(plan, geometry) of every unique Table I configuration on the
+    paper's 16x16 mesh."""
+    seen = {}
+    for workloads in paper_configurations().values():
+        for workload in workloads:
+            if workload.describe() not in seen:
+                _, plan, geometry = Campaign(
+                    MeshConfig.paper(), workload
+                ).golden_run()
+                seen[workload.describe()] = (plan, geometry)
+    return list(seen.values())
+
+
+class TestBatchedPrediction:
+    """``predict_classes`` is ``predict_class`` over many sites at once."""
+
+    @staticmethod
+    def _assert_batch_matches(plan, geometry, mesh):
+        sites = [
+            FaultSite(row, col)
+            for row in range(mesh.rows)
+            for col in range(mesh.cols)
+        ]
+        assert predict_classes(sites, plan, geometry=geometry) == [
+            predict_class(site, plan, geometry=geometry) for site in sites
+        ]
+
+    def test_table_one_grid(self):
+        for plan, geometry in _table_one_plans():
+            self._assert_batch_matches(plan, geometry, MeshConfig.paper())
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    @pytest.mark.parametrize("dims", [(6, 5, 7), (1, 3, 9), (9, 2, 1), (13, 8, 10)])
+    def test_ragged_plans(self, dataflow, dims):
+        plan = plan_gemm_tiling(*dims, MESH, dataflow)
+        self._assert_batch_matches(plan, None, MESH)
+
+    @pytest.mark.parametrize("dataflow", list(Dataflow))
+    def test_ragged_conv(self, dataflow):
+        g = ConvGeometry(n=1, c=2, h=7, w=6, k=6, r=3, s=2)
+        plan = plan_gemm_tiling(g.gemm_m, g.gemm_k, g.gemm_n, MESH, dataflow)
+        self._assert_batch_matches(plan, g, MESH)
+
+    def test_empty_batch(self):
+        plan = plan_gemm_tiling(4, 4, 4, MESH, Dataflow.WEIGHT_STATIONARY)
+        assert predict_classes([], plan) == []

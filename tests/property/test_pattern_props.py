@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign, FaultSpec, GemmWorkload
-from repro.core.classifier import PatternClass, classify_pattern
+from repro.core.classifier import (
+    Classification,
+    PatternClass,
+    classify_batch,
+    classify_cells,
+    classify_pattern,
+)
 from repro.core.fault_patterns import extract_pattern
 from repro.core.predictor import predict_pattern
 from repro.faults import FaultInjector, FaultSite
 from repro.ops.gemm import TiledGemm
 from repro.ops.reference import reference_gemm
-from repro.ops.tiling import plan_gemm_tiling
+from repro.ops.tiling import TilingPlan, plan_gemm_tiling
 from repro.systolic import Dataflow, FunctionalSimulator, MeshConfig
 
 MESH = MeshConfig(4, 4)
@@ -142,3 +148,112 @@ def test_classification_never_other_for_ssf(size, dataflow, bit, stuck_value):
     result = Campaign(MESH, workload, fault_spec=spec).run()
     for experiment in result.experiments:
         assert experiment.pattern_class is not PatternClass.OTHER
+
+
+# ----------------------------------------------------------------------
+# Batched classifier vs the per-cell reference
+# ----------------------------------------------------------------------
+def reference_classify(rows, cols, plan, conv=False):
+    """The classifier's rules as a plain loop over corrupted cells:
+    sets of tiles, local cells, local/global rows and columns, built one
+    ``divmod`` at a time. The batched classifier must agree with it on
+    every pattern."""
+    if not rows:
+        return Classification(pattern_class=PatternClass.MASKED)
+    tiles, locals_ = set(), set()
+    for row, col in zip(rows, cols):
+        m_tile, local_row = divmod(row, plan.tile_m)
+        n_tile, local_col = divmod(col, plan.tile_n)
+        tiles.add((m_tile, n_tile))
+        locals_.add((local_row, local_col))
+    corrupted_tiles = tuple(sorted(tiles))
+    if conv:
+        # The lowered GEMM's column is the output channel.
+        channels = tuple(sorted(set(cols)))
+        return Classification(
+            pattern_class=PatternClass.SINGLE_CHANNEL
+            if len(channels) == 1
+            else PatternClass.MULTI_CHANNEL,
+            corrupted_tiles=corrupted_tiles,
+            corrupted_channels=channels,
+        )
+    evidence = dict(
+        corrupted_tiles=corrupted_tiles, local_cells=tuple(sorted(locals_))
+    )
+    if len(rows) == 1:
+        cls = PatternClass.SINGLE_ELEMENT
+    elif len(locals_) == 1 and len(rows) == len(tiles) and len(tiles) > 1:
+        cls = PatternClass.SINGLE_ELEMENT_MULTI_TILE
+    elif len({c for _, c in locals_}) == 1:
+        cls = (
+            PatternClass.SINGLE_COLUMN
+            if len(set(cols)) == 1
+            else PatternClass.SINGLE_COLUMN_MULTI_TILE
+        )
+    elif len({r for r, _ in locals_}) == 1:
+        cls = (
+            PatternClass.SINGLE_ROW
+            if len(set(rows)) == 1
+            else PatternClass.SINGLE_ROW_MULTI_TILE
+        )
+    else:
+        cls = PatternClass.OTHER
+    return Classification(pattern_class=cls, **evidence)
+
+
+@st.composite
+def plans_and_masks(draw):
+    """A tiling plan (ragged edges included) and a stack of masks drawn
+    to hit every class: empty, single cells, tile-replicated cells, full
+    or partial lines, and unstructured noise."""
+    m, n = draw(dims), draw(dims)
+    plan = TilingPlan(
+        m=m,
+        k=4,
+        n=n,
+        tile_m=draw(st.integers(1, m)),
+        tile_k=4,
+        tile_n=draw(st.integers(1, n)),
+        dataflow=draw(dataflows),
+    )
+    rng = np.random.default_rng(draw(seeds))
+    masks = np.zeros((draw(st.integers(0, 6)), m, n), dtype=bool)
+    for mask in masks:
+        kind = draw(st.sampled_from(
+            ["empty", "cell", "replicated", "column", "row", "noise"]
+        ))
+        if kind == "cell":
+            mask[rng.integers(m), rng.integers(n)] = True
+        elif kind == "replicated":
+            row, col = rng.integers(plan.tile_m), rng.integers(plan.tile_n)
+            mask[row :: plan.tile_m, col :: plan.tile_n] = True
+        elif kind == "column":
+            mask[:, rng.integers(plan.tile_n) :: plan.tile_n] = True
+            mask &= rng.random(mask.shape) < draw(st.sampled_from([0.5, 1.0]))
+        elif kind == "row":
+            mask[rng.integers(plan.tile_m) :: plan.tile_m, :] = True
+            mask &= rng.random(mask.shape) < draw(st.sampled_from([0.5, 1.0]))
+        elif kind == "noise":
+            mask |= rng.random(mask.shape) < draw(st.sampled_from([0.1, 0.5]))
+    return plan, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=plans_and_masks(), conv=st.booleans())
+def test_batched_classifier_matches_per_cell_reference(case, conv):
+    plan, masks = case
+    sites, rows, cols = np.nonzero(masks)
+    # Pattern order is free: shuffle the flat cell list across sites.
+    order = np.random.default_rng(len(sites)).permutation(len(sites))
+    batch = classify_batch(
+        sites[order], rows[order], cols[order], len(masks), plan, conv=conv
+    )
+    assert len(batch) == len(masks)
+    for mask, got in zip(masks, batch):
+        mask_rows, mask_cols = np.nonzero(mask)
+        expected = reference_classify(
+            mask_rows.tolist(), mask_cols.tolist(), plan, conv=conv
+        )
+        assert got == expected
+        if not conv:
+            assert classify_cells(mask_rows, mask_cols, plan) == expected
