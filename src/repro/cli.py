@@ -70,6 +70,7 @@ from repro.core import (
     diagonal_sites,
     predict_pattern,
 )
+from repro.core.campaign import ENGINES
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.reports import campaign_summary, format_table
 from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--engine",
-        choices=("functional", "cycle", "analytic"),
+        choices=ENGINES,
         default="functional",
         help="execution tier: functional simulator (default), "
         "cycle-accurate reference, or closed-form analytic deltas "
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--engine",
-        choices=("functional", "cycle", "analytic"),
+        choices=ENGINES,
         default="functional",
         help="execution tier for every campaign of the grid",
     )

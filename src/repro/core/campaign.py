@@ -47,6 +47,7 @@ if TYPE_CHECKING:
     from repro.core.executor import CampaignExecutor
 
 __all__ = [
+    "ENGINES",
     "OperationType",
     "FillKind",
     "operand_seeds",
@@ -57,6 +58,10 @@ __all__ = [
     "CampaignResult",
     "Campaign",
 ]
+
+
+#: The engine tiers a campaign can run on, by name (see :class:`Campaign`).
+ENGINES = ("functional", "cycle", "analytic")
 
 
 class OperationType(enum.Enum):
@@ -417,10 +422,9 @@ class Campaign:
         sites: Sequence[tuple[int, int]] | None = None,
         keep_patterns: bool = True,
     ) -> None:
-        if engine not in ("functional", "cycle", "analytic"):
+        if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'functional', 'cycle' or 'analytic', "
-                f"got {engine!r}"
+                f"engine must be one of {ENGINES}, got {engine!r}"
             )
         self.mesh = mesh
         self.workload = workload
@@ -493,15 +497,18 @@ class Campaign:
             )
 
     @property
-    def supports_batching(self) -> bool:
-        """Whether executors should hand this campaign whole site batches
-        (:meth:`run_batch`) instead of one site at a time.
+    def min_shard_sites(self) -> int:
+        """The fewest sites worth one :meth:`run_batch` call on this
+        campaign's engine: every executor's batching granularity.
 
-        True only for the analytic tier, whose per-experiment cost is
-        dominated by fixed setup that a batch amortises; the simulation
-        tiers gain nothing from batching and keep the per-site path.
+        The analytic tier amortises per-batch setup (operand
+        regeneration, tile walks) over a batch, so one- or two-site
+        slivers would forfeit its win: shards carry at least 8 sites and
+        a serial sweep is one batch. The simulation tiers gain nothing
+        from batching and run one site per batch, which keeps load
+        balance, interrupts and progress per site.
         """
-        return self.engine_kind == "analytic"
+        return 8 if self.engine_kind == "analytic" else 1
 
     def run_batch(
         self,
@@ -512,17 +519,25 @@ class Campaign:
         recorder=NULL_RECORDER,
         metrics=NULL_METRICS,
     ) -> list[ExperimentResult]:
-        """Evaluate one FI experiment per site in a single batched pass.
+        """One FI experiment per site, in ``sites`` order.
 
-        The batched seam of the analytic tier: closed-form deltas for
-        every supported site are computed in a few vectorised passes
-        (:func:`repro.engines.analytic.engine.evaluate_batch`), and
+        The engine seam every executor calls. The simulation tiers run
+        :meth:`run_experiment` per site. The analytic tier computes
+        closed-form deltas for every supported site in a few vectorised
+        passes (:func:`repro.engines.analytic.engine.evaluate_batch`);
         sites whose fault the algebra cannot cover fall back to
-        :meth:`run_experiment` per site, counted on the
-        ``repro_analytic_fallback_total`` metric. The returned list is
-        in ``sites`` order and field-for-field identical to calling
-        :meth:`run_experiment` on each site.
+        :meth:`run_experiment`, counted on the
+        ``repro_analytic_fallback_total`` metric. Either way the list is
+        field-for-field identical to calling :meth:`run_experiment` on
+        each site.
         """
+        if self.engine_kind != "analytic":
+            return [
+                self.run_experiment(
+                    row, col, golden, plan, geometry, recorder=recorder
+                )
+                for row, col in sites
+            ]
         from repro.engines.analytic.engine import evaluate_batch
 
         return evaluate_batch(

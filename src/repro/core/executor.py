@@ -66,7 +66,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Protocol, Sequence
 
@@ -95,13 +95,13 @@ from repro.core.serialize import (
     failure_from_record,
     failure_record,
     is_failure_record,
+    open_jsonl_stream,
     read_checkpoint,
 )
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
 
 __all__ = [
-    "BATCHED_MIN_SHARD_SITES",
     "CampaignExecutor",
     "GoldenCache",
     "GOLDEN_CACHE",
@@ -168,14 +168,6 @@ class GoldenCache:
 GOLDEN_CACHE = GoldenCache()
 
 
-#: Minimum sites per shard when the campaign's engine evaluates whole
-#: batches (``Campaign.supports_batching``): a batched tier amortises
-#: per-batch setup (operand regeneration, tile walks) over the shard, so
-#: one- or two-site slivers would forfeit the batching win. Per-site
-#: engines keep the finest-grained split for load balance.
-BATCHED_MIN_SHARD_SITES = 8
-
-
 def shard_sites(
     sites: Sequence[tuple[int, int]],
     num_shards: int,
@@ -188,8 +180,8 @@ def shard_sites(
     identity, so a sharded sweep is replayable. Chunk sizes differ by at
     most one site. ``min_batch`` lowers the effective shard count until
     every chunk carries at least that many sites (when the site list is
-    large enough to allow it) — the granularity floor for batched engine
-    tiers (:data:`BATCHED_MIN_SHARD_SITES`).
+    large enough to allow it) — the executors pass the campaign's
+    :attr:`~repro.core.campaign.Campaign.min_shard_sites`.
     """
     if num_shards <= 0:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
@@ -300,11 +292,19 @@ class SerialExecutor:
             progress = obs.progress
             if progress is not None:
                 progress.begin(len(campaign.sites))
+            # A batching engine runs the whole sweep as one batch; a
+            # per-site engine runs one site per batch, so interrupts and
+            # progress land between sites.
+            sites = campaign.sites
+            if campaign.min_shard_sites > 1:
+                batches = [sites]
+            else:
+                batches = [[site] for site in sites]
             try:
-                if campaign.supports_batching:
-                    self._check_interrupt(0, len(campaign.sites))
+                for batch in batches:
+                    self._check_interrupt(len(completed), len(sites))
                     experiments = campaign.run_batch(
-                        campaign.sites, golden, plan, geometry,
+                        batch, golden, plan, geometry,
                         recorder=obs.recorder, metrics=obs.metrics,
                     )
                     for experiment in experiments:
@@ -313,18 +313,6 @@ class SerialExecutor:
                     sites_done.inc(len(experiments))
                     if progress is not None:
                         progress.advance(len(experiments))
-                else:
-                    for row, col in campaign.sites:
-                        self._check_interrupt(
-                            len(completed), len(campaign.sites)
-                        )
-                        completed[(row, col)] = campaign.run_experiment(
-                            row, col, golden, plan, geometry,
-                            recorder=obs.recorder,
-                        )
-                        sites_done.inc()
-                        if progress is not None:
-                            progress.advance()
             finally:
                 if progress is not None:
                     progress.finish()
@@ -344,9 +332,12 @@ class SerialExecutor:
 # then just site lists. Module-level state is required because process
 # pools can only ship module-level callables.
 #
+# A shard comes back as ``(records, events)``: one sparse
+# ``experiment_record`` per site — the checkpoint line and the fabric
+# wire record, byte for byte — rather than the dense result arrays.
 # Tracing rides the same channel: when the parent's recorder is armed the
 # initializer gives each worker its own TraceRecorder, and every shard
-# payload carries the worker's drained span events alongside the results
+# payload carries the worker's drained span events alongside the records
 # (timestamps share the parent's monotonic clock, so the merged timeline
 # is coherent). Events never touch the experiment records themselves.
 
@@ -368,49 +359,41 @@ def _init_worker(
 
 def _run_shard(
     shard: list[tuple[int, int]],
-) -> tuple[list[ExperimentResult], list[dict]]:
+) -> tuple[list[dict], list[dict]]:
     assert _WORKER_STATE is not None, "worker initializer did not run"
     campaign, golden, plan, geometry, chaos, recorder = _WORKER_STATE
-    mangled: list[int] = []
-    results: list = []
     with recorder.span("shard.run", cat="worker", sites=len(shard)):
-        if campaign.supports_batching:
-            # Chaos actions still fire per site (so raise/hang/exit
-            # schedules behave identically under batching), but the
-            # experiments themselves run as one vectorised batch.
-            # Workers evaluate with null metrics; the parent accounts
-            # for analytic fallbacks from the campaign spec instead.
-            for index, (row, col) in enumerate(shard):
-                if chaos is not None and chaos.fire((row, col)):
-                    mangled.append(index)
-            results = list(
-                campaign.run_batch(
-                    shard, golden, plan, geometry, recorder=recorder
-                )
+        # Chaos actions fire per site, in site order, before the batch
+        # runs. Workers evaluate with null metrics; the parent accounts
+        # for analytic fallbacks from the campaign spec instead.
+        mangled = [
+            index
+            for index, site in enumerate(shard)
+            if chaos is not None and chaos.fire(site)
+        ]
+        records = [
+            experiment_record(experiment)
+            for experiment in campaign.run_batch(
+                shard, golden, plan, geometry, recorder=recorder
             )
-        else:
-            for index, (row, col) in enumerate(shard):
-                if chaos is not None and chaos.fire((row, col)):
-                    mangled.append(index)
-                results.append(
-                    campaign.run_experiment(
-                        row, col, golden, plan, geometry, recorder=recorder
-                    )
-                )
+        ]
     for index in mangled:  # an injected "corrupt" action fired
-        results[index] = {"mangled": True}
-    return results, recorder.drain()
+        records[index] = {"mangled": True}
+    return records, recorder.drain()
 
 
 def _validate_shard(payload: object, sites: list[tuple[int, int]]) -> str | None:
     """Reason the worker payload is unusable, or ``None`` when sound.
 
-    Workers are separate processes; a payload that survived pickling can
-    still be wrong (a worker bug, a chaos ``corrupt`` action), and an
-    unvalidated bad record would silently poison the canonical merge.
-    The payload is a ``(results, trace events)`` pair; the events list is
-    only shape-checked — a mangled event can at worst mangle a trace
-    file, never a result.
+    Workers are separate processes; a payload that survived pickling (or
+    the wire) can still be wrong (a worker bug, a chaos ``corrupt``
+    action), and an unvalidated bad record would silently poison the
+    canonical merge. The payload is a ``(records, trace events)`` pair,
+    one :func:`~repro.core.serialize.experiment_record` (or decoded
+    :class:`ExperimentResult`) per site; this checks that each answers
+    its site, not that its body decodes. The events list is only
+    shape-checked — a mangled event can at worst mangle a trace file,
+    never a result.
     """
     if (
         not isinstance(payload, tuple)
@@ -431,16 +414,28 @@ def _validate_shard(payload: object, sites: list[tuple[int, int]]) -> str | None
             f"expected {len(sites)} records)"
         )
     for record, (row, col) in zip(results, sites):
-        if not isinstance(record, ExperimentResult):
+        claimed = _claimed_site(record)
+        if claimed is None:
             return (
                 f"record for MAC({row},{col}) is not an experiment result "
                 f"(got {type(record).__name__})"
             )
-        if (record.site.row, record.site.col) != (row, col):
+        if claimed != (row, col):
             return (
                 f"record for MAC({row},{col}) carries mismatched site "
-                f"MAC({record.site.row},{record.site.col})"
+                f"MAC({claimed[0]},{claimed[1]})"
             )
+    return None
+
+
+def _claimed_site(record: object) -> tuple[object, object] | None:
+    """The ``(row, col)`` a shard entry answers, or ``None`` when it is
+    neither an experiment record nor an experiment result."""
+    if isinstance(record, ExperimentResult):
+        return record.site.row, record.site.col
+    site = record.get("site") if isinstance(record, dict) else None
+    if isinstance(site, dict) and "row" in site and "col" in site:
+        return site["row"], site["col"]
     return None
 
 
@@ -459,7 +454,116 @@ class _InFlight:
     submitted_at: float = 0.0
 
 
-class _ShardDispatcher:
+class _ShardIngest:
+    """What the pool dispatcher and the fabric coordinator share.
+
+    Each owns one dispatch of ``pending``: a FIFO of shards cut at the
+    campaign's :attr:`~repro.core.campaign.Campaign.min_shard_sites`
+    granularity, the shared :class:`FailureLadder`, and the completed
+    map. Every shard result enters through :meth:`_ingest` — validate,
+    decode, store — whether it came back from a pool child or off the
+    wire, and the checkpoint appends the records exactly as received.
+    """
+
+    def __init__(
+        self,
+        executor: "ParallelExecutor",
+        campaign: Campaign,
+        golden: np.ndarray,
+        plan: TilingPlan,
+        geometry: ConvGeometry | None,
+        pending: list[tuple[int, int]],
+        stream: IO[str] | None,
+    ) -> None:
+        self.executor = executor
+        self.campaign = campaign
+        self.golden = golden
+        self.plan = plan
+        self.geometry = geometry
+        self.obs = executor.obs
+        self.stream = stream
+        shards = shard_sites(
+            pending,
+            executor.jobs * executor.shards_per_worker,
+            min_batch=campaign.min_shard_sites,
+        )
+        self.queue: deque[ShardTask] = deque(
+            ShardTask(sites=shard) for shard in shards
+        )
+        self.completed: dict[tuple[int, int], ExperimentResult] = {}
+        self.ladder = FailureLadder(
+            retry=executor.retry,
+            on_error=executor.on_error,
+            queue=self.queue,
+            metrics=self.obs.metrics,
+            progress=self.obs.progress,
+            record_failure=self._persist_failure,
+        )
+
+    @property
+    def failures(self) -> dict[tuple[int, int], FailureRecord]:
+        return self.ladder.failures
+
+    def _persist_failure(self, failure: FailureRecord) -> None:
+        self.executor._record_failure(self.stream, failure)
+
+    def _fail_shard(
+        self, task: ShardTask, kind: FailureKind, error: str
+    ) -> None:
+        self.ladder.fail(task, kind, error)
+
+    def _ingest(
+        self,
+        task: ShardTask,
+        payload: object,
+        started_at: float,
+        undecodable: FailureKind = FailureKind.CORRUPT_RESULT,
+    ) -> None:
+        """Validate, decode and store one shard attempt's ``(records,
+        events)`` payload, or fail the attempt through the ladder.
+
+        A payload that does not answer ``task.sites`` is a corrupt
+        result; records that validate but do not decode fail as
+        ``undecodable`` (a corrupt result from a pool child, a protocol
+        error off the wire). ``started_at`` is the attempt's monotonic
+        start, for the shard-latency histogram.
+        """
+        problem = _validate_shard(payload, task.sites)
+        if problem is not None:
+            self._fail_shard(task, FailureKind.CORRUPT_RESULT, problem)
+            return
+        records, events = payload
+        shape = self.golden.shape if self.campaign.keep_patterns else None
+        try:
+            experiments = [
+                experiment_from_record(
+                    record, shape=shape, plan=self.plan, geometry=self.geometry
+                )
+                for record in records
+            ]
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            self._fail_shard(
+                task, undecodable, f"undecodable result records: {exc!r}"
+            )
+            return
+        self.obs.metrics.histogram(
+            "repro_shard_seconds",
+            "Wall-clock latency of successful shard attempts.",
+        ).observe(time.monotonic() - started_at)
+        self.obs.recorder.ingest(events)
+        for experiment in experiments:
+            key = (experiment.site.row, experiment.site.col)
+            self.completed[key] = experiment
+        self.obs.metrics.counter(
+            "repro_sites_completed_total",
+            "Fault sites whose experiment completed.",
+        ).inc(len(experiments))
+        if self.obs.progress is not None:
+            self.obs.progress.advance(len(experiments))
+        self.executor._record_batch(self.stream, records)
+
+
+class _ShardDispatcher(_ShardIngest):
     """The failure-aware scheduling loop of :class:`ParallelExecutor`.
 
     Owns the process pool, the pending-task queue, and the in-flight
@@ -484,43 +588,16 @@ class _ShardDispatcher:
         pending: list[tuple[int, int]],
         stream: IO[str] | None,
     ) -> None:
-        self.executor = executor
-        self.campaign = campaign
-        self.obs = executor.obs
+        super().__init__(
+            executor, campaign, golden, plan, geometry, pending, stream
+        )
         self.initargs = (
             campaign, golden, plan, geometry, executor.chaos,
             self.obs.recorder.armed,
         )
-        self.stream = stream
-        shards = shard_sites(
-            pending,
-            executor.jobs * executor.shards_per_worker,
-            min_batch=(
-                BATCHED_MIN_SHARD_SITES if campaign.supports_batching else 1
-            ),
-        )
-        self.queue: deque[ShardTask] = deque(
-            ShardTask(sites=shard) for shard in shards
-        )
         self.in_flight: dict[Future, _InFlight] = {}
-        self.completed: dict[tuple[int, int], ExperimentResult] = {}
-        self.ladder = FailureLadder(
-            retry=executor.retry,
-            on_error=executor.on_error,
-            queue=self.queue,
-            metrics=self.obs.metrics,
-            progress=self.obs.progress,
-            record_failure=self._persist_failure,
-        )
         self.pool: ProcessPoolExecutor | None = None
         self._signum: int | None = None
-
-    @property
-    def failures(self) -> dict[tuple[int, int], FailureRecord]:
-        return self.ladder.failures
-
-    def _persist_failure(self, failure: FailureRecord) -> None:
-        self.executor._record_failure(self.stream, failure)
 
     # -- pool lifecycle ------------------------------------------------
     def _start_pool(self) -> None:
@@ -679,33 +756,11 @@ class _ShardDispatcher:
                 broken.append(task)
                 continue
             except Exception as exc:  # the worker raised for this shard
-                self.ladder.fail(task, FailureKind.CRASH, repr(exc))
+                self._fail_shard(task, FailureKind.CRASH, repr(exc))
                 continue
-            problem = _validate_shard(payload, task.sites)
-            if problem is not None:
-                self.ladder.fail(task, FailureKind.CORRUPT_RESULT, problem)
-                continue
-            results, events = payload
-            self.obs.metrics.histogram(
-                "repro_shard_seconds",
-                "Wall-clock latency of successful shard attempts.",
-            ).observe(time.monotonic() - entry.submitted_at)
-            self.obs.recorder.ingest(events)
-            self._store(results)
+            self._ingest(task, payload, entry.submitted_at)
         if broken:
             self._on_pool_broken(broken)
-
-    def _store(self, results: list[ExperimentResult]) -> None:
-        for experiment in results:
-            key = (experiment.site.row, experiment.site.col)
-            self.completed[key] = experiment
-        self.obs.metrics.counter(
-            "repro_sites_completed_total",
-            "Fault sites whose experiment completed.",
-        ).inc(len(results))
-        if self.obs.progress is not None:
-            self.obs.progress.advance(len(results))
-        self.executor._record_batch(self.stream, results)
 
     def _on_pool_broken(self, broken: list[ShardTask]) -> None:
         """A worker died hard and took the whole pool with it.
@@ -921,6 +976,7 @@ class ParallelExecutor:
                 f"(mismatched {', '.join(mismatched)}); refusing to resume"
             )
         valid_sites = set(campaign.sites)
+        shape = golden.shape if campaign.keep_patterns else None
         restored: dict[tuple[int, int], ExperimentResult] = {}
         failures: dict[tuple[int, int], FailureRecord] = {}
         for record in records:
@@ -934,10 +990,8 @@ class ParallelExecutor:
                 failures[key] = failure
                 continue
             experiment = experiment_from_record(
-                record, shape=golden.shape, plan=plan, geometry=geometry
+                record, shape=shape, plan=plan, geometry=geometry
             )
-            if not campaign.keep_patterns:
-                experiment = replace(experiment, pattern=None)
             key = (experiment.site.row, experiment.site.col)
             if key not in valid_sites:
                 continue
@@ -958,51 +1012,12 @@ class ParallelExecutor:
             )
 
     def _open_checkpoint(self, campaign: Campaign) -> IO[str] | None:
-        """Open the checkpoint stream for appending.
-
-        A new/empty file gets the header line. An existing file must
-        start with a complete, recognizable header line — a torn header
-        (partial first line, the artefact of a crash during file
-        creation) is refused with :class:`CheckpointCorrupt` instead of
-        silently continuing a headerless stream. A torn *trailing* line
-        is healed by terminating it, so appended records start on a fresh
-        line (the torn record itself is skipped, with a warning, by
-        :func:`~repro.core.serialize.read_checkpoint`).
-        """
+        """Open the checkpoint stream for appending (see
+        :func:`~repro.core.serialize.open_jsonl_stream`: a torn header
+        is refused, a torn tail healed, a new file given its header)."""
         if self.checkpoint is None:
             return None
-        path = self.checkpoint
-        path.parent.mkdir(parents=True, exist_ok=True)
-        size = path.stat().st_size if path.exists() else 0
-        torn_tail = False
-        if size > 0:
-            with path.open("rb") as probe:
-                first = probe.readline()
-                header: object = None
-                if first.endswith(b"\n"):
-                    try:
-                        header = json.loads(first.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        header = None
-                if (
-                    not isinstance(header, dict)
-                    or header.get("kind") != "campaign-checkpoint"
-                ):
-                    raise CheckpointCorrupt(
-                        f"checkpoint {path} has a torn or unrecognizable "
-                        f"header line; refusing to append to it — move the "
-                        f"file aside (or delete it) and rerun"
-                    )
-                probe.seek(-1, os.SEEK_END)
-                torn_tail = probe.read(1) != b"\n"
-        stream = path.open("a")
-        if size == 0:
-            stream.write(json.dumps(checkpoint_header(campaign)) + "\n")
-            self._sync(stream)
-        elif torn_tail:
-            stream.write("\n")
-            self._sync(stream)
-        return stream
+        return open_jsonl_stream(self.checkpoint, checkpoint_header(campaign))
 
     # -- durable record appends ----------------------------------------
     @staticmethod
@@ -1013,12 +1028,14 @@ class ParallelExecutor:
         os.fsync(stream.fileno())
 
     def _record_batch(
-        self, stream: IO[str] | None, experiments: list[ExperimentResult]
+        self, stream: IO[str] | None, records: list[dict]
     ) -> None:
-        if stream is None or not experiments:
+        """Append one shard's experiment records, as received, and
+        fsync them."""
+        if stream is None or not records:
             return
-        for experiment in experiments:
-            stream.write(json.dumps(experiment_record(experiment)) + "\n")
+        for record in records:
+            stream.write(json.dumps(record) + "\n")
         self._sync(stream)
 
     def _record_failure(
@@ -1086,7 +1103,7 @@ class ParallelExecutor:
             obs.metrics.gauge(
                 "repro_sites_total", "Fault sites in the campaign sweep."
             ).set(len(campaign.sites))
-            if campaign.supports_batching and pending:
+            if campaign.engine_kind == "analytic" and pending:
                 # Workers evaluate batches with null metrics (registries
                 # don't cross the process boundary), so the parent
                 # publishes the fallback count — a pure prediction from

@@ -37,20 +37,14 @@ import asyncio
 import signal as _signal_module
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Any, Callable
 
 import numpy as np
 
 from repro.core.campaign import Campaign, ExperimentResult
 from repro.core.chaos import ChaosSpec
-from repro.core.executor import (
-    BATCHED_MIN_SHARD_SITES,
-    ParallelExecutor,
-    _validate_shard,
-    shard_sites,
-)
+from repro.core.executor import ParallelExecutor, _ShardIngest
 from repro.core.fabric.lease import LeaseTable
 from repro.core.fabric.protocol import (
     MSG_BYE,
@@ -68,7 +62,6 @@ from repro.core.resilience import (
     CampaignExecutionError,
     CampaignInterrupted,
     FailureKind,
-    FailureLadder,
     FailureRecord,
     OnError,
     ProtocolError,
@@ -76,7 +69,7 @@ from repro.core.resilience import (
     ShardTask,
     WorkerLost,
 )
-from repro.core.serialize import experiment_from_record, fabric_setup_record
+from repro.core.serialize import fabric_setup_record
 from repro.obs import Observability
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
@@ -96,7 +89,7 @@ class _WorkerConn:
     lost: bool = False
 
 
-class Coordinator:
+class Coordinator(_ShardIngest):
     """The asyncio server owning one campaign's shard queue.
 
     Single-threaded by construction: every mutation of the queue, the
@@ -120,33 +113,10 @@ class Coordinator:
         pending: list[tuple[int, int]],
         stream: IO[str] | None,
     ) -> None:
-        self.executor = executor
-        self.campaign = campaign
-        self.golden = golden
-        self.plan = plan
-        self.geometry = geometry
-        self.obs = executor.obs
-        self.stream = stream
-        shards = shard_sites(
-            pending,
-            executor.jobs * executor.shards_per_worker,
-            min_batch=(
-                BATCHED_MIN_SHARD_SITES if campaign.supports_batching else 1
-            ),
-        )
-        self.queue: deque[ShardTask] = deque(
-            ShardTask(sites=shard) for shard in shards
-        )
-        self.ladder = FailureLadder(
-            retry=executor.retry,
-            on_error=executor.on_error,
-            queue=self.queue,
-            metrics=self.obs.metrics,
-            progress=self.obs.progress,
-            record_failure=self._persist_failure,
+        super().__init__(
+            executor, campaign, golden, plan, geometry, pending, stream
         )
         self.leases = LeaseTable(executor.lease_seconds)
-        self.completed: dict[tuple[int, int], ExperimentResult] = {}
         self.workers: dict[int, _WorkerConn] = {}
         self.setup = fabric_setup_record(
             campaign,
@@ -165,9 +135,6 @@ class Coordinator:
         self._abort: CampaignExecutionError | None = None
         self._done: asyncio.Event | None = None
         self._handler_tasks: set[asyncio.Task] = set()
-
-    def _persist_failure(self, failure: FailureRecord) -> None:
-        self.executor._record_failure(self.stream, failure)
 
     # -- server lifecycle ----------------------------------------------
     async def serve(
@@ -229,7 +196,7 @@ class Coordinator:
                 completed=len(self.completed),
                 remaining=remaining,
             )
-        return self.completed, self.ladder.failures
+        return self.completed, self.failures
 
     def _capture_signal(self, signum: int) -> None:
         self._signum = signum
@@ -251,8 +218,15 @@ class Coordinator:
         for worker in list(self.workers.values()):
             await self._send_drain(worker)
 
-    async def _send_drain(self, worker: _WorkerConn) -> None:
-        """Tell one worker the campaign is over, then hang up."""
+    async def _send_drain(
+        self,
+        worker: _WorkerConn,
+        reader: asyncio.StreamReader | None = None,
+    ) -> None:
+        """Tell one worker the campaign is over, then hang up — after
+        reading ``reader`` (when given) until the worker hangs up, so
+        result frames already in flight, such as a replayed duplicate,
+        are counted as the stale frames they are."""
         self.workers.pop(worker.worker_id, None)
         self._gauge_workers()
         try:
@@ -269,6 +243,21 @@ class Coordinator:
             OSError,
         ):
             pass
+        if reader is not None:
+            try:
+                while True:
+                    frame = await recv_frame(reader, self.executor.io_timeout)
+                    if frame.get("type") in (MSG_RESULT, MSG_SHARD_ERROR):
+                        self._stale(worker, frame.get("shard_id"))
+            except (
+                asyncio.IncompleteReadError,
+                asyncio.TimeoutError,
+                TimeoutError,
+                ConnectionError,
+                OSError,
+                ProtocolError,
+            ):
+                pass
         self._close_writer(worker.writer)
 
     @staticmethod
@@ -349,7 +338,7 @@ class Coordinator:
                 # serve()'s cleanup only reaches workers whose handlers
                 # are still parked in a read.
                 self._release_worker(worker)
-                await self._send_drain(worker)
+                await self._send_drain(worker, reader)
         except (
             asyncio.IncompleteReadError,
             asyncio.TimeoutError,
@@ -527,41 +516,14 @@ class Coordinator:
         if task is None:
             return
         lease = self.leases.holder(shard_id)
-        try:
-            results = [
-                experiment_from_record(
-                    record,
-                    shape=self.golden.shape,
-                    plan=self.plan,
-                    geometry=self.geometry,
-                )
-                for record in frame["records"]
-            ]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            self._release(worker, shard_id)
-            self._fail_shard(
-                task,
-                FailureKind.PROTOCOL_ERROR,
-                f"undecodable result records: {exc!r}",
-            )
-            return
-        if not self.campaign.keep_patterns:
-            results = [replace(e, pattern=None) for e in results]
-        problem = _validate_shard(
-            (results, frame.get("events") or []), task.sites
-        )
-        if problem is not None:
-            self._release(worker, shard_id)
-            self._fail_shard(task, FailureKind.CORRUPT_RESULT, problem)
-            return
-        self._release(worker, shard_id)
         assert lease is not None
-        self.obs.metrics.histogram(
-            "repro_shard_seconds",
-            "Wall-clock latency of successful shard attempts.",
-        ).observe(time.monotonic() - lease.granted_at)
-        self.obs.recorder.ingest(frame.get("events") or [])
-        self._store(results)
+        self._release(worker, shard_id)
+        self._ingest(
+            task,
+            (frame.get("records"), frame.get("events") or []),
+            lease.granted_at,
+            undecodable=FailureKind.PROTOCOL_ERROR,
+        )
 
     def _ingest_error(self, worker: _WorkerConn, frame: dict) -> None:
         shard_id = frame.get("shard_id")
@@ -581,18 +543,6 @@ class Coordinator:
         self.leases.release(shard_id)
         worker.shards.discard(shard_id)
         self._gauge_leases()
-
-    def _store(self, results: list[ExperimentResult]) -> None:
-        for experiment in results:
-            key = (experiment.site.row, experiment.site.col)
-            self.completed[key] = experiment
-        self.obs.metrics.counter(
-            "repro_sites_completed_total",
-            "Fault sites whose experiment completed.",
-        ).inc(len(results))
-        if self.obs.progress is not None:
-            self.obs.progress.advance(len(results))
-        self.executor._record_batch(self.stream, results)
 
     # -- background ticker ---------------------------------------------
     async def _ticker(self) -> None:

@@ -8,7 +8,8 @@ process-pool worker plumbing the single-machine executor uses
 The agent joins a coordinator elastically — any time before the campaign
 drains — computes the golden run locally through the shared
 :data:`~repro.core.executor.GOLDEN_CACHE`, executes leased shards in its
-pool, and streams experiment records plus drained trace events back.
+pool, and forwards the experiment records its pool children encode,
+as they are, plus drained trace events.
 
 A lost connection is survivable by design: the agent reconnects with a
 bounded retry budget, the coordinator requeues whatever the agent held
@@ -53,18 +54,14 @@ from repro.core.fabric.protocol import (
     send_frame,
 )
 from repro.core.resilience import FailureKind, ProtocolError
-from repro.core.serialize import (
-    encode_frame,
-    experiment_record,
-    fabric_setup_from_record,
-)
+from repro.core.serialize import encode_frame, fabric_setup_from_record
 
 __all__ = ["WorkerAgent"]
 
 
 def _run_fabric_shard(
     shard: list[tuple[int, int]],
-) -> tuple[list, list[dict]]:
+) -> tuple[list[dict], list[dict]]:
     """Module-level shard entry the agent's process pool executes.
 
     Delegates to the executor's ``_run_shard`` so the remote path and
@@ -272,13 +269,15 @@ class WorkerAgent:
     def _adopt(self, welcome: dict[str, Any]) -> None:
         """Take the coordinator's setup: campaign, chaos, pool, golden.
 
-        The pool is keyed on the raw setup payload, so reconnecting to
+        The setup is plain JSON, decoded by the spec codec (a malformed
+        one raises :class:`~repro.core.serialize.SpecError`). The pool
+        is keyed on the raw setup payload, so reconnecting to
         the same campaign (or a resumed coordinator) reuses the warm
         pool and golden cache instead of rebuilding them.
         """
-        setup = welcome["setup"]
-        key = (setup["campaign"], setup["chaos"], setup["trace"])
+        setup = welcome.get("setup")
         campaign, chaos, trace, shard_timeout = fabric_setup_from_record(setup)
+        key = (setup["campaign"], setup["chaos"], trace)
         self._chaos = chaos
         self._shard_timeout = shard_timeout
         if self._pool is not None and self._pool_key == key:
@@ -337,11 +336,11 @@ class WorkerAgent:
                 lock=lock,
             )
             return
-        results, events = payload
+        records, events = payload
         message = {
             "type": MSG_RESULT,
             "shard_id": shard_id,
-            "records": [experiment_record(e) for e in results],
+            "records": records,
             "events": events,
         }
         if action is not None and action.kind == "stall":
@@ -385,8 +384,9 @@ class WorkerAgent:
         raise is a ``crash``, a dead pool is ``pool-broken`` (the agent
         reconstitutes its pool, like the executor does), a watchdog
         expiry is a ``timeout``, and a payload that fails validation is
-        ``corrupt-result``. The coordinator feeds whichever kind comes
-        back into the shared failure ladder.
+        ``corrupt-result``; a sound payload is forwarded untouched. The
+        coordinator feeds whichever kind comes back into the shared
+        failure ladder.
         """
         assert self._pool is not None
         try:

@@ -17,17 +17,17 @@ sparse in exactly the structured way the taxonomy describes.
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
+import os
 import struct
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable
 
 import numpy as np
 
 from repro.core.campaign import (
+    ENGINES,
     Campaign,
     CampaignResult,
     ConvWorkload,
@@ -36,9 +36,10 @@ from repro.core.campaign import (
     FillKind,
     GemmWorkload,
 )
+from repro.core.chaos import ChaosAction, ChaosSpec
 from repro.core.classifier import Classification, PatternClass
 from repro.core.fault_patterns import FaultPattern
-from repro.core.resilience import FailureKind, FailureRecord
+from repro.core.resilience import CheckpointCorrupt, FailureKind, FailureRecord
 from repro.faults.sites import FaultSite
 from repro.obs.metrics import MetricsRegistry
 from repro.ops.im2col import ConvGeometry
@@ -63,11 +64,14 @@ __all__ = [
     "failure_from_record",
     "is_failure_record",
     "read_checkpoint",
+    "read_jsonl_stream",
+    "open_jsonl_stream",
     "MAX_FRAME_BYTES",
     "encode_frame",
     "decode_frame",
     "lease_record",
     "lease_from_record",
+    "FABRIC_SETUP_VERSION",
     "fabric_setup_record",
     "fabric_setup_from_record",
     "SpecError",
@@ -302,10 +306,9 @@ def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
     cells: list[list[int]] | None = None
     if experiment.pattern is not None:
         pattern = experiment.pattern
-        cells = [
-            [*(int(c) for c in coords), int(pattern.deviation[tuple(coords)])]
-            for coords in np.argwhere(pattern.mask)
-        ]
+        cells = np.column_stack(
+            (np.argwhere(pattern.mask), pattern.deviation[pattern.mask])
+        ).tolist()
     return {
         "site": {
             "row": experiment.site.row,
@@ -344,6 +347,15 @@ def experiment_from_record(
     plan, geometry:
         The campaign's tiling plan and conv geometry, reattached to the
         rebuilt pattern.
+
+    Raises
+    ------
+    ValueError
+        If the cells are not integer ``[*coords, deviation]`` rows
+        matching ``shape`` (or a field value is unknown).
+    KeyError, TypeError, IndexError
+        If a field is missing or mistyped, or a cell lies outside
+        ``shape``.
     """
     site_fields = record["site"]
     site = FaultSite(
@@ -363,9 +375,18 @@ def experiment_from_record(
     cells = record.get("cells")
     if cells is not None and shape is not None:
         deviation = np.zeros(shape, dtype=np.int64)
-        for entry in cells:
-            *coords, value = entry
-            deviation[tuple(coords)] = value
+        if cells:
+            table = np.asarray(cells)
+            if (
+                table.ndim != 2
+                or table.shape[1] != len(shape) + 1
+                or table.dtype.kind != "i"
+            ):
+                raise ValueError(
+                    f"cells must be [*coords, deviation] integer rows for "
+                    f"a {len(shape)}-d output"
+                )
+            deviation[tuple(table[:, :-1].T)] = table[:, -1]
         pattern = FaultPattern(
             mask=deviation != 0,
             deviation=deviation,
@@ -503,17 +524,16 @@ def lease_from_record(record: dict[str, Any]):
     )
 
 
-def _pickle_b64(obj: Any) -> str:
-    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
-
-
-def _unpickle_b64(text: str) -> Any:
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
+#: Version of the fabric ``welcome`` setup record. Version 2 carries the
+#: campaign through the spec codec and the chaos schedule as plain JSON;
+#: version 1 carried pickles, so an agent that speaks only version 1
+#: refuses a version 2 setup through its version check.
+FABRIC_SETUP_VERSION = 2
 
 
 def fabric_setup_record(
     campaign: Campaign,
-    chaos: Any = None,
+    chaos: ChaosSpec | None = None,
     trace: bool = False,
     shard_timeout: float | None = None,
 ) -> dict[str, Any]:
@@ -521,17 +541,30 @@ def fabric_setup_record(
     needs to run shards — campaign spec, chaos schedule, trace flag,
     watchdog deadline.
 
-    The campaign and chaos specs travel as base64 pickle: they are the
-    exact objects the process-pool initializer already ships to local
-    workers, and the fabric assumes the same trust domain as
-    :mod:`multiprocessing` (run workers only against coordinators you
-    trust).
+    The campaign travels as its spec document
+    (:func:`encode_campaign_spec`) and the chaos schedule as a plain
+    JSON record, so an agent decodes its setup without unpickling
+    anything from the socket.
     """
     return {
         "kind": "fabric-setup",
-        "schema_version": SCHEMA_VERSION,
-        "campaign": _pickle_b64(campaign),
-        "chaos": _pickle_b64(chaos) if chaos is not None else None,
+        "schema_version": FABRIC_SETUP_VERSION,
+        "campaign": encode_campaign_spec(campaign),
+        "chaos": (
+            {
+                "actions": [
+                    [list(site), {
+                        "kind": action.kind,
+                        "times": action.times,
+                        "seconds": action.seconds,
+                    }]
+                    for site, action in chaos.actions
+                ],
+                "state_dir": chaos.state_dir,
+            }
+            if chaos is not None
+            else None
+        ),
         "trace": bool(trace),
         "shard_timeout": shard_timeout,
     }
@@ -539,83 +572,176 @@ def fabric_setup_record(
 
 def fabric_setup_from_record(
     record: dict[str, Any],
-) -> tuple[Campaign, Any, bool, float | None]:
+) -> tuple[Campaign, ChaosSpec | None, bool, float | None]:
     """Decode a ``welcome`` setup payload back into
     ``(campaign, chaos, trace, shard_timeout)``.
 
     Raises
     ------
     ValueError
-        If the record is not a fabric setup or its schema version is
-        unknown.
+        If the record is not a fabric setup or its version is unknown.
+    SpecError
+        If the campaign spec, chaos schedule, trace flag or watchdog
+        deadline is malformed.
     """
-    if record.get("kind") != "fabric-setup":
+    if not isinstance(record, dict) or record.get("kind") != "fabric-setup":
         raise ValueError("not a fabric setup record")
     version = record.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != FABRIC_SETUP_VERSION:
         raise ValueError(
             f"unsupported fabric setup schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"(expected {FABRIC_SETUP_VERSION})"
         )
-    campaign = _unpickle_b64(record["campaign"])
-    raw_chaos = record["chaos"]
-    chaos = _unpickle_b64(raw_chaos) if raw_chaos is not None else None
-    return campaign, chaos, record["trace"], record["shard_timeout"]
+    campaign, _ = decode_campaign_spec(record.get("campaign"))
+    chaos = record.get("chaos")
+    if chaos is not None:
+        try:
+            chaos = ChaosSpec(
+                actions=tuple(
+                    ((row, col), ChaosAction(**action))
+                    for (row, col), action in chaos["actions"]
+                ),
+                state_dir=chaos["state_dir"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError("chaos", f"malformed chaos schedule: {exc!r}") from exc
+    trace = record.get("trace")
+    if not isinstance(trace, bool):
+        raise SpecError("trace", "expected a boolean")
+    shard_timeout = record.get("shard_timeout")
+    if shard_timeout is not None:
+        shard_timeout = _spec_float(record, "", "shard_timeout", positive=True)
+    return campaign, chaos, trace, shard_timeout
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read a checkpoint stream: ``(header, experiment records)``.
+#: Wording of the JSONL stream errors, keyed by header kind: the
+#: stream's noun, what a refused append asks the user to do, and what
+#: a skipped record line means.
+_JSONL_STREAMS = {
+    "campaign-checkpoint": (
+        "checkpoint", "rerun", "; the site will be re-executed",
+    ),
+    "job-registry": ("job registry", "restart", ""),
+}
 
-    A torn or otherwise corrupt record line — the expected artefact of a
-    campaign killed mid-write — is skipped with a :class:`RuntimeWarning`
-    rather than raised, so a resume can always make progress from the
-    records that did land. A corrupt *header* is unrecoverable (nothing
-    can be validated against it) and raises.
+
+def read_jsonl_stream(
+    path: str | Path, kind: str, parse: Callable[[Any], Any]
+) -> tuple[dict[str, Any], list[Any]]:
+    """Read a header-plus-records JSONL stream: ``(header, records)``.
+
+    ``kind`` is the header's ``"kind"`` tag; ``parse`` validates one
+    decoded record line and returns what to keep, raising
+    :class:`ValueError` to reject it. A torn or otherwise corrupt record
+    line — the expected artefact of a process killed mid-write — is
+    skipped with a :class:`RuntimeWarning` rather than raised, so
+    recovery always makes progress from the records that did land. A
+    corrupt *header* is unrecoverable (nothing can be validated against
+    it) and raises.
 
     Raises
     ------
     FileNotFoundError
         If ``path`` does not exist.
     ValueError
-        If the file is empty, the header line is not valid JSON, or the
-        header's schema version is unknown.
+        If the file is empty, the header line is not valid JSON, the
+        header is not of ``kind``, or its schema version is unknown.
     """
+    noun, _, skipped = _JSONL_STREAMS[kind]
     path = Path(path)
     lines = path.read_text().splitlines()
     stripped = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if not stripped:
-        raise ValueError(f"checkpoint {path} is empty")
-    header_lineno, header_line = stripped[0]
+        raise ValueError(f"{noun} {path} is empty")
     try:
-        header = json.loads(header_line)
+        header = json.loads(stripped[0][1])
     except json.JSONDecodeError as exc:
         raise ValueError(
-            f"checkpoint {path} has a corrupt header line: {exc}"
+            f"{noun} {path} has a corrupt header line: {exc}"
         ) from exc
-    if not isinstance(header, dict) or header.get("kind") != "campaign-checkpoint":
-        raise ValueError(f"{path} is not a campaign checkpoint stream")
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind.replace('-', ' ')} stream")
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported checkpoint schema version {version!r} "
+            f"unsupported {noun} schema version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    records: list[dict[str, Any]] = []
+    records: list[Any] = []
     for lineno, line in stripped[1:]:
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict) or "site" not in record:
-                raise ValueError("record is not an experiment object")
-        except (json.JSONDecodeError, ValueError) as exc:
+            records.append(parse(json.loads(line)))
+        except ValueError as exc:
             warnings.warn(
-                f"skipping corrupt checkpoint record at {path}:{lineno} "
-                f"({exc}); the site will be re-executed",
+                f"skipping corrupt {noun} record at {path}:{lineno} "
+                f"({exc}){skipped}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            continue
-        records.append(record)
     return header, records
+
+
+def open_jsonl_stream(path: str | Path, header: dict[str, Any]) -> IO[str]:
+    """Open a header-plus-records JSONL stream for appending.
+
+    A new or empty file gets ``header`` as its first line. An existing
+    file must start with a complete header line of the same kind — a
+    torn header (partial first line, the artefact of a crash during file
+    creation) is refused with :class:`CheckpointCorrupt` instead of
+    silently continuing a headerless stream. A torn *trailing* line is
+    healed by terminating it, so appended records start on a fresh line
+    (the torn record itself is skipped, with a warning, by
+    :func:`read_jsonl_stream`). Whatever this writes is fsynced.
+    """
+    kind = header["kind"]
+    noun, retry, _ = _JSONL_STREAMS[kind]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    size = path.stat().st_size if path.exists() else 0
+    torn_tail = False
+    if size > 0:
+        with path.open("rb") as probe:
+            first = probe.readline()
+            found: object = None
+            if first.endswith(b"\n"):
+                try:
+                    found = json.loads(first.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    found = None
+            if not isinstance(found, dict) or found.get("kind") != kind:
+                raise CheckpointCorrupt(
+                    f"{noun} {path} has a torn or unrecognizable header "
+                    f"line; refusing to append to it — move the file aside "
+                    f"(or delete it) and {retry}"
+                )
+            probe.seek(-1, os.SEEK_END)
+            torn_tail = probe.read(1) != b"\n"
+    stream = path.open("a")
+    if size == 0:
+        stream.write(json.dumps(header) + "\n")
+    elif torn_tail:
+        stream.write("\n")
+    else:
+        return stream
+    stream.flush()
+    os.fsync(stream.fileno())
+    return stream
+
+
+def _checkpoint_line(record: Any) -> dict[str, Any]:
+    if not isinstance(record, dict) or "site" not in record:
+        raise ValueError("record is not an experiment object")
+    return record
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Read a checkpoint stream: ``(header, experiment records)``.
+
+    See :func:`read_jsonl_stream`: corrupt record lines are skipped with
+    a :class:`RuntimeWarning` (their sites re-execute on resume), a
+    corrupt header raises :class:`ValueError`.
+    """
+    return read_jsonl_stream(path, "campaign-checkpoint", _checkpoint_line)
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +768,6 @@ class SpecError(ValueError):
 
 _DATAFLOW_BY_VALUE = {d.value: d for d in Dataflow}
 _FILL_BY_VALUE = {f.value: f for f in FillKind}
-_ENGINES = ("functional", "cycle", "analytic")
 _EXECUTOR_KINDS = ("serial", "parallel", "fabric")
 
 #: Terminal and non-terminal job lifecycle states (see repro.service.jobs).
@@ -891,7 +1016,7 @@ def decode_campaign_spec(data: Any) -> tuple[Campaign, dict[str, Any]]:
             raise
         raise SpecError("fault", str(exc)) from exc
 
-    engine = _spec_choice(spec, "", "engine", _ENGINES, "functional")
+    engine = _spec_choice(spec, "", "engine", ENGINES, "functional")
 
     sites = spec.get("sites")
     if sites is not None:
@@ -1063,51 +1188,11 @@ def job_from_record(record: dict[str, Any]) -> dict[str, Any]:
 def read_job_registry(path: str | Path) -> list[dict[str, Any]]:
     """Read a job registry stream: validated job snapshots in file order.
 
-    Mirrors :func:`read_checkpoint`: a torn or corrupt record line is
-    skipped with a :class:`RuntimeWarning` (recovery proceeds from the
-    snapshots that did land), while a corrupt *header* raises — nothing
-    downstream can be trusted without it.
-
-    Raises
-    ------
-    FileNotFoundError
-        If ``path`` does not exist.
-    ValueError
-        If the file is empty, the header line is not valid JSON, the
-        file is not a job registry, or the schema version is unknown.
+    See :func:`read_jsonl_stream`: corrupt record lines are skipped with
+    a :class:`RuntimeWarning` (recovery proceeds from the snapshots that
+    did land), a corrupt or alien header raises :class:`ValueError`.
     """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    stripped = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not stripped:
-        raise ValueError(f"job registry {path} is empty")
-    header_lineno, header_line = stripped[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"job registry {path} has a corrupt header line: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("kind") != "job-registry":
-        raise ValueError(f"{path} is not a job registry stream")
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported job registry schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    records: list[dict[str, Any]] = []
-    for lineno, line in stripped[1:]:
-        try:
-            records.append(job_from_record(json.loads(line)))
-        except (json.JSONDecodeError, ValueError) as exc:
-            warnings.warn(
-                f"skipping corrupt job registry record at {path}:{lineno} "
-                f"({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return records
+    return read_jsonl_stream(path, "job-registry", job_from_record)[1]
 
 
 # ----------------------------------------------------------------------

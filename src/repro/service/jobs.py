@@ -37,17 +37,14 @@ from repro.core.campaign import Campaign, CampaignResult
 from repro.core.chaos import ChaosSpec
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.fabric.coordinator import DistributedExecutor
-from repro.core.resilience import (
-    CampaignExecutionError,
-    CampaignInterrupted,
-    CheckpointCorrupt,
-)
+from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
 from repro.core.serialize import (
     JOB_STATES,
     campaign_result_record,
     decode_campaign_spec,
     job_record,
     job_registry_header,
+    open_jsonl_stream,
     read_job_registry,
 )
 from repro.obs import MetricsRegistry, Observability
@@ -164,40 +161,19 @@ class JobManager:
 
         Returns the number of jobs re-queued from a previous life. A
         torn trailing line is healed before appending; a torn or alien
-        header is refused with :class:`CheckpointCorrupt`.
+        header is refused with
+        :class:`~repro.core.resilience.CheckpointCorrupt`.
         """
         for directory in (self.state_dir, self.checkpoint_dir, self.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
-        path = self.registry_path
-        size = path.stat().st_size if path.exists() else 0
-        torn_tail = False
-        if size > 0:
-            with path.open("rb") as probe:
-                first = probe.readline()
-                header: object = None
-                if first.endswith(b"\n"):
-                    try:
-                        header = json.loads(first.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        header = None
-                if (
-                    not isinstance(header, dict)
-                    or header.get("kind") != "job-registry"
-                ):
-                    raise CheckpointCorrupt(
-                        f"job registry {path} has a torn or unrecognizable "
-                        f"header line; refusing to append to it — move the "
-                        f"file aside (or delete it) and restart"
-                    )
-                probe.seek(-1, os.SEEK_END)
-                torn_tail = probe.read(1) != b"\n"
-        restored = self._restore() if resume and size > 0 else 0
-        self._stream = path.open("a")
-        if size == 0:
-            self._stream.write(json.dumps(job_registry_header()) + "\n")
-        elif torn_tail:
-            self._stream.write("\n")
-        self._sync()
+        self._stream = open_jsonl_stream(
+            self.registry_path, job_registry_header()
+        )
+        try:
+            restored = self._restore() if resume else 0
+        except BaseException:
+            self.close()
+            raise
         if restored:
             # The restored queued/running jobs go back to queued — as
             # fresh snapshots, so a second crash still sees them.

@@ -3,21 +3,20 @@
 :func:`shard_sites` grew a ``min_batch`` floor so the analytic tier's
 shards stay large enough to amortise the closed-form setup cost (one
 shard of eight sites beats eight shards of one by roughly the batch
-width). These tests pin the floor's arithmetic and prove the dispatcher
-applies it exactly when — and only when — the campaign batches.
+width). These tests pin the floor's arithmetic and prove that both shard
+queues — the pool dispatcher's and the fabric coordinator's — cut at the
+campaign's per-engine ``min_shard_sites``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import Campaign, GemmWorkload
-from repro.core.executor import (
-    BATCHED_MIN_SHARD_SITES,
-    ParallelExecutor,
-    shard_sites,
-)
+from repro.core.campaign import ENGINES, Campaign, GemmWorkload
+from repro.core.executor import ParallelExecutor, shard_sites
 from repro.core.executor import _ShardDispatcher
+from repro.core.fabric import DistributedExecutor
+from repro.core.fabric.coordinator import Coordinator
 from repro.systolic import Dataflow, MeshConfig
 
 SITES_256 = [(r, c) for r in range(16) for c in range(16)]
@@ -66,21 +65,28 @@ class TestMinBatchFloor:
 
 
 class TestDispatcherGranularity:
-    """The dispatcher picks the floor off ``campaign.supports_batching``.
+    """The shard queues read the floor off ``campaign.min_shard_sites``.
 
-    Constructing :class:`_ShardDispatcher` directly builds the task queue
-    without starting a worker pool, so the granularity decision is
-    observable in isolation.
+    Constructing :class:`_ShardDispatcher` or :class:`Coordinator`
+    directly builds the task queue without starting a worker pool or a
+    server, so the granularity decision is observable in isolation.
     """
 
     MESH = MeshConfig(rows=4, cols=4)
 
-    def _queue_sizes(self, engine: str) -> list[int]:
+    def _campaign(self, engine: str) -> Campaign:
         workload = GemmWorkload.square(4, Dataflow.WEIGHT_STATIONARY)
-        campaign = Campaign(self.MESH, workload, engine=engine)
+        return Campaign(self.MESH, workload, engine=engine)
+
+    def _queue_sizes(self, campaign: Campaign, owner=_ShardDispatcher):
+        executor = (
+            ParallelExecutor(jobs=4)
+            if owner is _ShardDispatcher
+            else DistributedExecutor(expected_workers=4)
+        )
         golden, plan, geometry = campaign.golden_run()
-        dispatcher = _ShardDispatcher(
-            ParallelExecutor(jobs=4),
+        queue_owner = owner(
+            executor,
             campaign,
             golden,
             plan,
@@ -88,13 +94,31 @@ class TestDispatcherGranularity:
             list(campaign.sites),
             stream=None,
         )
-        return [len(task.sites) for task in dispatcher.queue]
+        return [len(task.sites) for task in queue_owner.queue]
+
+    def test_min_shard_sites_per_engine(self):
+        floors = {
+            engine: self._campaign(engine).min_shard_sites
+            for engine in ENGINES
+        }
+        assert floors == {"functional": 1, "cycle": 1, "analytic": 8}
 
     def test_analytic_campaign_gets_batched_shards(self):
-        assert self._queue_sizes("analytic") == [
-            BATCHED_MIN_SHARD_SITES,
-            BATCHED_MIN_SHARD_SITES,
+        campaign = self._campaign("analytic")
+        assert self._queue_sizes(campaign) == [
+            campaign.min_shard_sites,
+            campaign.min_shard_sites,
         ]
 
     def test_functional_campaign_keeps_per_site_shards(self):
-        assert self._queue_sizes("functional") == [1] * self.MESH.num_macs
+        campaign = self._campaign("functional")
+        assert self._queue_sizes(campaign) == [1] * self.MESH.num_macs
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_coordinator_queue_matches_the_dispatcher(self, engine):
+        campaign = self._campaign(engine)
+        expected = [campaign.min_shard_sites] * (
+            self.MESH.num_macs // campaign.min_shard_sites
+        )
+        assert self._queue_sizes(campaign) == expected
+        assert self._queue_sizes(campaign, owner=Coordinator) == expected

@@ -1,13 +1,25 @@
 """Unit tests for campaign serialisation and fault dictionaries."""
 
+import base64
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosSpec
+from repro.core.fabric.worker import WorkerAgent
 from repro.core.serialize import (
+    FABRIC_SETUP_VERSION,
     SCHEMA_VERSION,
+    SpecError,
     campaign_to_dict,
+    encode_campaign_spec,
+    experiment_from_record,
+    experiment_record,
+    fabric_setup_from_record,
+    fabric_setup_record,
     fault_dictionary,
     load_campaign,
     load_metrics,
@@ -143,3 +155,212 @@ class TestFaultDictionary:
         data = json.loads(path.read_text())
         assert data["schema_version"] == SCHEMA_VERSION
         assert "stuck-at-1" in data["fault_model"]
+
+
+# ----------------------------------------------------------------------
+# Experiment record codec: the vectorised cell table against the
+# per-cell loops it replaced
+# ----------------------------------------------------------------------
+
+
+def loop_cells(pattern):
+    """The per-cell encoding loop: one ``[*coords, deviation]`` row per
+    corrupted cell, in ``np.argwhere`` order."""
+    return [
+        [*(int(c) for c in coords), int(pattern.deviation[tuple(coords)])]
+        for coords in np.argwhere(pattern.mask)
+    ]
+
+
+def loop_deviation(cells, shape):
+    """The per-cell decoding loop."""
+    deviation = np.zeros(shape, dtype=np.int64)
+    for entry in cells:
+        *coords, value = entry
+        deviation[tuple(coords)] = value
+    return deviation
+
+
+def loop_record(experiment):
+    record = experiment_record(experiment)
+    pattern = experiment.pattern
+    record["cells"] = loop_cells(pattern) if pattern is not None else None
+    return record
+
+
+class TestRecordCodec:
+    @pytest.fixture(scope="class")
+    def results(self):
+        conv = Campaign(
+            MESH,
+            ConvWorkload.paper_kernel(6, (3, 3, 2, 3)),
+            sites=[(0, 1), (3, 3)],
+        ).run()
+        gemm_os = Campaign(
+            MESH, GemmWorkload.square(2, Dataflow.OUTPUT_STATIONARY),
+            sites=[(0, 0), (3, 3)],
+        ).run()
+        unkept = Campaign(
+            MESH,
+            GemmWorkload.square(4, Dataflow.WEIGHT_STATIONARY),
+            sites=[(0, 1)],
+            keep_patterns=False,
+        ).run()
+        return {"conv": conv, "gemm": gemm_os, "unkept": unkept}
+
+    def test_encoding_bytes_match_the_per_cell_loop(self, results, ws_result):
+        experiments = [
+            e
+            for result in (*results.values(), ws_result)
+            for e in result.experiments
+        ]
+        kinds = {
+            "conv": any(e.pattern is not None and e.pattern.is_conv
+                        and e.sdc for e in experiments),
+            "empty": any(e.pattern is not None and not e.sdc
+                         for e in experiments),
+            "unkept": any(e.pattern is None for e in experiments),
+        }
+        assert all(kinds.values()), kinds
+        for experiment in experiments:
+            assert json.dumps(experiment_record(experiment)) == json.dumps(
+                loop_record(experiment)
+            )
+
+    def test_decoding_matches_the_per_cell_loop(self, results, ws_result):
+        for result in (*results.values(), ws_result):
+            for experiment in result.experiments:
+                record = json.loads(json.dumps(experiment_record(experiment)))
+                back = experiment_from_record(
+                    record,
+                    shape=result.golden.shape,
+                    plan=result.plan,
+                    geometry=result.geometry,
+                )
+                if record["cells"] is None:
+                    assert back.pattern is None
+                    continue
+                expected = loop_deviation(record["cells"], result.golden.shape)
+                assert back.pattern.deviation.dtype == np.int64
+                assert np.array_equal(back.pattern.deviation, expected)
+                assert np.array_equal(back.pattern.mask, expected != 0)
+                assert np.array_equal(
+                    back.pattern.deviation, experiment.pattern.deviation
+                )
+
+    @pytest.mark.parametrize(
+        "cells, error",
+        [
+            ([[0, 1]], ValueError),  # missing a coordinate
+            ([[0, 1, 2, 3]], ValueError),  # one coordinate too many
+            ([[0, 0.5, 3]], ValueError),  # non-integer coordinate
+            ([[0, 1, 3], [2, 3]], ValueError),  # ragged rows
+            ([[9, 0, 3]], IndexError),  # outside the output
+        ],
+    )
+    def test_malformed_cells_raise(self, ws_result, cells, error):
+        record = experiment_record(ws_result.experiments[0])
+        record["cells"] = cells
+        with pytest.raises(error):
+            experiment_from_record(record, shape=ws_result.golden.shape)
+
+
+# ----------------------------------------------------------------------
+# Fabric setup codec: plain JSON, never a pickle
+# ----------------------------------------------------------------------
+
+
+class _CreatesFile:
+    """Unpickling this opens (creates) ``path`` for writing."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _pickle_b64(obj) -> str:
+    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
+
+
+class TestFabricSetupCodec:
+    def _campaign(self):
+        return Campaign(MESH, GemmWorkload.square(4, Dataflow.OUTPUT_STATIONARY))
+
+    def test_record_is_plain_json(self, tmp_path):
+        chaos = ChaosSpec.build(
+            {
+                (0, 1): ChaosAction("sleep", times=2, seconds=0.5),
+                (2, 3): ChaosAction("replay", times=None),
+            },
+            state_dir=tmp_path,
+        )
+        record = fabric_setup_record(
+            self._campaign(), chaos=chaos, trace=True, shard_timeout=3
+        )
+        assert record["schema_version"] == FABRIC_SETUP_VERSION != SCHEMA_VERSION
+        assert record["campaign"] == encode_campaign_spec(self._campaign())
+        wire = json.loads(json.dumps(record))
+        campaign, back_chaos, trace, timeout = fabric_setup_from_record(wire)
+        assert encode_campaign_spec(campaign) == record["campaign"]
+        assert back_chaos == chaos
+        assert (trace, timeout) == (True, 3.0)
+
+    @pytest.mark.parametrize("field", ["campaign", "chaos"])
+    def test_pickled_setup_is_refused_without_unpickling(self, tmp_path, field):
+        target = tmp_path / "pwned"
+        setup = fabric_setup_record(self._campaign())
+        setup[field] = _pickle_b64(_CreatesFile(str(target)))
+        with pytest.raises(SpecError):
+            fabric_setup_from_record(setup)
+        # The version-1 shape (both fields pickled) fails the version
+        # check first.
+        legacy = dict(setup, schema_version=1)
+        legacy["campaign"] = legacy["chaos"] = setup[field]
+        with pytest.raises(ValueError, match="version"):
+            fabric_setup_from_record(legacy)
+        assert not target.exists()
+
+    def test_agent_refuses_a_pickled_welcome(self, tmp_path):
+        target = tmp_path / "pwned"
+        setup = fabric_setup_record(self._campaign())
+        setup["campaign"] = _pickle_b64(_CreatesFile(str(target)))
+        welcome = {
+            "type": "welcome",
+            "worker_id": 1,
+            "setup": setup,
+            "heartbeat_interval": 1.0,
+        }
+        agent = WorkerAgent("127.0.0.1", 1)
+        with pytest.raises(SpecError):
+            agent._adopt(welcome)
+        assert agent._pool is None
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [
+            {"actions": [[[0, 1], {"kind": "explode"}]], "state_dir": None},
+            {"actions": [[[0, 1], {"kind": "raise", "oops": 1}]],
+             "state_dir": None},
+            {"actions": [[[0, 1, 2], {"kind": "raise"}]], "state_dir": None},
+            {"actions": [[[0, 1], {"kind": "raise", "times": 1}]],
+             "state_dir": None},  # bounded action without a state_dir
+            {"state_dir": None},
+        ],
+    )
+    def test_malformed_chaos_raises_spec_error(self, chaos):
+        setup = fabric_setup_record(self._campaign())
+        setup["chaos"] = chaos
+        with pytest.raises(SpecError, match="chaos"):
+            fabric_setup_from_record(setup)
+
+    @pytest.mark.parametrize(
+        "field, value", [("trace", "yes"), ("shard_timeout", -1.0)]
+    )
+    def test_malformed_flags_raise_spec_error(self, field, value):
+        setup = fabric_setup_record(self._campaign())
+        setup[field] = value
+        with pytest.raises(SpecError, match=field):
+            fabric_setup_from_record(setup)

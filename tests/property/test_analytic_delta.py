@@ -18,10 +18,17 @@ algebra's defining equations directly:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.campaign import Campaign, FaultSpec, FillKind, GemmWorkload
+from repro.core.campaign import (
+    ENGINES,
+    Campaign,
+    FaultSpec,
+    FillKind,
+    GemmWorkload,
+)
 from repro.core.classifier import PatternClass
 from repro.faults.sites import MAC_SIGNALS, signal_dtype
 from repro.systolic import Dataflow, MeshConfig
@@ -55,15 +62,16 @@ def fault_specs(draw):
     )
 
 
-def _campaign(m, k, n, dataflow, seed, spec, site):
+def _campaign(m, k, n, dataflow, seed, spec, site, engine="analytic"):
     workload = GemmWorkload(
         m=m, k=k, n=n, dataflow=dataflow, fill=FillKind.RANDOM, seed=seed
     )
     return Campaign(
-        MESH, workload, fault_spec=spec, engine="analytic", sites=[site]
+        MESH, workload, fault_spec=spec, engine=engine, sites=[site]
     )
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=80, deadline=None)
 @given(
     m=dims,
@@ -76,16 +84,18 @@ def _campaign(m, k, n, dataflow, seed, spec, site):
     col=coords,
 )
 def test_delta_equals_functional_minus_golden(
-    m, k, n, seed, dataflow, spec, row, col
+    engine, m, k, n, seed, dataflow, spec, row, col
 ):
-    campaign = _campaign(m, k, n, dataflow, seed, spec, (row, col))
+    """Every engine's ``run_batch`` is ``run_experiment`` per site, and
+    its deviation is the faulty output minus the golden one."""
+    campaign = _campaign(m, k, n, dataflow, seed, spec, (row, col), engine)
     golden, plan, geometry = campaign.golden_run()
     reference = campaign.run_experiment(row, col, golden, plan, geometry)
     batched = campaign.run_batch([(row, col)], golden, plan, geometry)
     assert len(batched) == 1
     assert_experiments_equal(reference, batched[0])
     # The defining identity, spelled out: golden + delta is the faulty
-    # output the functional engine computes, element for element.
+    # output a simulation computes, element for element.
     faulty, _, _ = campaign.run_single(spec.fault_at(row, col))
     assert np.array_equal(
         batched[0].pattern.deviation,

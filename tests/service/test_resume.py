@@ -45,7 +45,11 @@ ANNOUNCE = re.compile(r"http://127\.0\.0\.1:(\d+)")
 
 
 def spawn_server(state_dir, *extra: str) -> tuple[subprocess.Popen, int]:
-    """Start ``repro-fi serve`` on a free port; returns (proc, port)."""
+    """Start ``repro-fi serve`` on a free port; returns (proc, port).
+
+    The server leads its own session, so :func:`kill_group` reaches the
+    pool children a SIGKILL of the server alone would orphan.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
@@ -63,12 +67,22 @@ def spawn_server(state_dir, *extra: str) -> tuple[subprocess.Popen, int]:
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
+        start_new_session=True,
     )
     assert proc.stdout is not None
     line = proc.stdout.readline()
     match = ANNOUNCE.search(line)
     assert match, f"no announce line from serve (got {line!r})"
     return proc, int(match.group(1))
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL whatever is left of the server's process group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the server and every child already exited
+    proc.wait(timeout=30)
 
 
 def api(port, method, path, payload=None, timeout=30):
@@ -119,8 +133,7 @@ def test_sigkill_then_resume_completes_identically(tmp_path):
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=30)
     finally:
-        if first.poll() is None:
-            first.kill()
+        kill_group(first)
 
     # No serve process alive; the registry on disk already tells the
     # story — last snapshot has the job running, mid-flight.
@@ -150,8 +163,7 @@ def test_sigkill_then_resume_completes_identically(tmp_path):
         second.send_signal(signal.SIGTERM)
         assert second.wait(timeout=60) == 0
     finally:
-        if second.poll() is None:
-            second.kill()
+        kill_group(second)
 
     # The registry remained append-only across the crash: the job's
     # lifecycle re-walks queued -> running -> done after the requeue.
@@ -179,5 +191,4 @@ def test_free_port_binding_announces_real_port(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        kill_group(proc)
