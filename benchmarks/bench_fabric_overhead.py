@@ -12,19 +12,26 @@ WS GEMM sweep under the cycle-accurate engine two ways:
   ``WorkerAgent`` threads (``stay=True``) on a loopback socket, one job
   each, so both paths command exactly two shard processes.
 
-The fleet is started once and kept across rounds: agents key their
-process pool on the campaign setup record, so reconnecting to each
-round's fresh coordinator reuses the warm pool and golden cache — the
-timed region is framing, leases, and scheduling, not process spawn.
-Wall-clock is interleaved min-of-repeats so one scheduler hiccup cannot
-fail the pin; the bench asserts fabric/parallel <= 1.25 on hosts with
-at least 2 usable cores (reported as context on starved runners) and
-writes the measured numbers to ``BENCH_fabric_overhead.json`` at the
-repo root.
+The fleet is started once and kept across rounds: each agent keeps one
+process pool for its life and swaps only the pool's setup token when a
+new campaign welcomes it, so reconnecting to each round's fresh
+coordinator reuses the warm pool and golden cache — the timed region is
+framing, leases, and scheduling, not process spawn. Wall-clock is
+interleaved min-of-repeats so one scheduler hiccup cannot fail the pin;
+the bench asserts fabric/parallel <= 1.25 on hosts with at least 2
+usable cores (reported as context on starved runners).
+
+A second, **warm-fleet** row times what a ``--stay`` fleet serves in
+practice: back-to-back 112x112 analytic random-fill campaigns, WS and
+OS in turn, each a new setup, over the same two agents. It records the
+absolute milliseconds per campaign and sites per second; each result is
+checked against a serial run. Both rows, with the core count, are
+written to ``BENCH_fabric_overhead.json`` at the repo root.
 """
 
 import json
 import socket
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -32,8 +39,10 @@ from pathlib import Path
 from repro.core import (
     Campaign,
     DistributedExecutor,
+    FillKind,
     GemmWorkload,
     ParallelExecutor,
+    SerialExecutor,
     WorkerAgent,
 )
 from repro.core.executor import GOLDEN_CACHE
@@ -47,6 +56,9 @@ WORKLOAD = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 WORKERS = 2
 REPEATS = 3
 OVERHEAD_CEILING = 1.25
+#: Warm-fleet row: campaigns per run and their GEMM size.
+WARM_CAMPAIGNS = 6
+WARM_SIZE = 112
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_fabric_overhead.json"
 
 
@@ -99,11 +111,51 @@ def run_parallel():
     return make_campaign().run(ParallelExecutor(jobs=WORKERS))
 
 
-def run_fabric(port: int):
+def run_fabric_campaign(port: int, campaign: Campaign):
     executor = DistributedExecutor(
         port=port, expected_workers=WORKERS, join_timeout=60.0
     )
-    return make_campaign().run(executor)
+    return campaign.run(executor)
+
+
+def run_fabric(port: int):
+    return run_fabric_campaign(port, make_campaign())
+
+
+def warm_campaign(index: int) -> Campaign:
+    """The ``index``-th warm-fleet campaign: a fresh random fill, so a
+    new setup every time."""
+    dataflows = (Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY)
+    workload = GemmWorkload(
+        WARM_SIZE, WARM_SIZE, WARM_SIZE, dataflows[index % 2],
+        fill=FillKind.RANDOM, seed=index,
+    )
+    return Campaign(MESH, workload, engine="analytic")
+
+
+def run_warm_fleet(port: int) -> dict:
+    """Time :data:`WARM_CAMPAIGNS` back-to-back new setups on the warm
+    fleet; each result must match its serial run."""
+    seconds, sites = [], 0
+    for index in range(WARM_CAMPAIGNS):
+        campaign = warm_campaign(index)
+        start = time.perf_counter()
+        result = run_fabric_campaign(port, campaign)
+        seconds.append(time.perf_counter() - start)
+        sites += len(campaign.sites)
+        reference = warm_campaign(index).run(SerialExecutor())
+        assert result.census() == reference.census()
+        assert [e.classification for e in result.experiments] == [
+            e.classification for e in reference.experiments
+        ]
+    return {
+        "workload": f"GEMM {WARM_SIZE}x{WARM_SIZE}x{WARM_SIZE}, WS/OS, random",
+        "engine": "analytic",
+        "campaigns": WARM_CAMPAIGNS,
+        "sites": sites,
+        "ms_per_campaign": 1e3 * statistics.median(seconds),
+        "sites_per_s": sites / sum(seconds),
+    }
 
 
 def test_fabric_overhead(benchmark):
@@ -128,6 +180,7 @@ def test_fabric_overhead(benchmark):
             start = time.perf_counter()
             fabric = run_fabric(port)
             fabric_best = min(fabric_best, time.perf_counter() - start)
+        warm = run_warm_fleet(port)
     finally:
         stop_fleet(agents, threads)
 
@@ -142,6 +195,12 @@ def test_fabric_overhead(benchmark):
     print(f"{'parallel':>9}  {parallel_best:>8.3f}  {'1.000':>11}")
     print(f"{'fabric':>9}  {fabric_best:>8.3f}  {overhead:>11.3f}")
     print(f"ceiling: {OVERHEAD_CEILING}")
+    print(
+        f"warm fleet: {warm['campaigns']} new-setup campaigns "
+        f"({warm['workload']}, {warm['engine']}): "
+        f"{warm['ms_per_campaign']:.0f} ms per campaign (median), "
+        f"{warm['sites_per_s']:.0f} sites/s"
+    )
 
     ARTIFACT.write_text(json.dumps({
         "schema_version": SCHEMA_VERSION,
@@ -155,6 +214,7 @@ def test_fabric_overhead(benchmark):
         "fabric_seconds": fabric_best,
         "overhead": overhead,
         "ceiling": OVERHEAD_CEILING,
+        "warm_fleet": warm,
         "cores": cores,
     }, indent=2) + "\n")
     print(f"written: {ARTIFACT.name}")

@@ -9,7 +9,7 @@ and no recovery hint — it defeats the whole point of the typed taxonomy.
 
 ``exception-contract`` proves the absence of that hazard: every raise
 site whose exception can *escape* a campaign entry point — the worker
-closure (``_init_worker`` / ``_run_shard`` and every ``pool.submit``/
+closure (``_adopt_setup`` / ``_run_shard`` and every ``pool.submit``/
 ``map`` callable) and the executor protocol (functions named ``execute``
 under :data:`EXECUTOR_MODULE_PREFIX`) — must use an *attributable*
 exception type. Attributable means anything except the generic trio

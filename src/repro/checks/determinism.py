@@ -12,15 +12,18 @@ Worker entry points are discovered, not configured:
 
 * the callable arguments of ``pool.submit(f, …)`` / ``pool.map(f, …)``;
 * the ``initializer=`` keyword of any pool constructor;
-* the conventional names ``_init_worker`` / ``_run_shard`` (so the rules
-  keep working on a tree where the submission site itself fails to
-  parse).
+* the conventional names ``_init_worker`` / ``_adopt_setup`` /
+  ``_run_shard`` (so the rules keep working on a tree where the
+  submission site itself fails to parse).
 
 The *pool-initializer protocol* is the one sanctioned exception: an
 initializer's whole purpose is to write module-level state exactly once
 per worker before any task runs, so initializers are exempt from
 ``worker-global-write`` (but not from the clock/entropy/ordering rules —
 an initializer that reads the clock is just as nondeterministic).
+``_adopt_setup`` — the executor's setup-token adoption, which every
+shard runs first and which decodes a new setup into module state when
+its key changes — is an initializer under this protocol.
 
 The second sanctioned exception is *telemetry*: the observability
 subsystem (:data:`SANCTIONED_TELEMETRY`, i.e. ``repro.obs``) exists to
@@ -80,6 +83,7 @@ from repro.checks.rules import _LEGACY_NUMPY_RANDOM
 
 __all__ = [
     "CONVENTIONAL_ENTRIES",
+    "INITIALIZER_ENTRIES",
     "WALL_CLOCK_CALLS",
     "ENTROPY_CALLS",
     "SANCTIONED_TELEMETRY",
@@ -96,14 +100,14 @@ __all__ = [
     "DETERMINISM_RULES",
 ]
 
-#: Conventional worker entry-point names (see module docstring).
-#: ``_run_fabric_shard`` is the fabric worker agent's pool entry
-#: (:mod:`repro.core.fabric.worker`) — naming it here keeps the remote
-#: closure inside the fork-safety battery even when the ``pool.submit``
-#: sweep misses the agent's indirection.
-CONVENTIONAL_ENTRIES = frozenset(
-    {"_init_worker", "_run_shard", "_run_fabric_shard"}
-)
+#: Conventional names that carry the initializer exemption (see the
+#: module docstring).
+INITIALIZER_ENTRIES = frozenset({"_init_worker", "_adopt_setup"})
+
+#: Conventional worker entry-point names (see module docstring); naming
+#: them keeps the shard closure inside the fork-safety battery even when
+#: the ``pool.submit`` sweep misses an indirection.
+CONVENTIONAL_ENTRIES = INITIALIZER_ENTRIES | {"_run_shard"}
 
 #: Dotted external callables that read the wall clock.
 WALL_CLOCK_CALLS = frozenset(
@@ -191,7 +195,8 @@ def discover_worker_entries(graph: ProjectGraph) -> tuple[WorkerEntry, ...]:
         if info.name in CONVENTIONAL_ENTRIES and info.class_name is None:
             add(
                 qualname,
-                "initializer" if info.name == "_init_worker" else "conventional",
+                "initializer" if info.name in INITIALIZER_ENTRIES
+                else "conventional",
             )
     return tuple(entries[q] for q in sorted(entries))
 

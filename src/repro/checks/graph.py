@@ -570,8 +570,8 @@ class ProjectGraph:
         """Resolve a *reference* to a function (not a call) to its qualname.
 
         Used for callables passed by value — ``pool.submit(_run_shard, …)``,
-        ``initializer=_init_worker`` — where the expression names a function
-        rather than invoking it.
+        or a pool constructor's ``initializer=`` keyword — where the
+        expression names a function rather than invoking it.
         """
         if isinstance(expr, ast.Name):
             return self._function_for_name(mod_name, expr.id)

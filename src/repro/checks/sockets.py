@@ -19,7 +19,7 @@ statically, in two sweeps:
   flagged too, since that is an unbounded read with extra steps.
 * **Worker/job-closure sync sweep** — the closure reachable from the
   discovered worker entries (the same entry discovery the fork-safety
-  battery uses, so ``_run_fabric_shard`` is covered) *plus* the
+  battery uses, so the fabric agent's pool shards are covered) *plus* the
   service's job entry (``repro.service.jobs._run_job``) must not open
   sockets at all: no ``socket.socket()``, no
   ``socket.create_connection()`` without an explicit ``timeout=``, no

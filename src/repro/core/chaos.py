@@ -8,8 +8,8 @@ payloads — and those must be injectable *on schedule*, per fault site,
 with a bounded number of firings so "transient" failures heal.
 
 A :class:`ChaosSpec` is attached to a :class:`ParallelExecutor` (test-only
-keyword) and shipped to every worker through the pool initializer; the
-worker consults :meth:`ChaosSpec.fire` before running each site.
+keyword) and shipped to every worker inside the campaign's setup token;
+the worker consults :meth:`ChaosSpec.fire` before running each site.
 
 Cross-process firing counters
 -----------------------------

@@ -15,8 +15,13 @@ This module is the execution engine behind :meth:`Campaign.run`:
 * :class:`GoldenCache` — a per-process memo of fault-free golden runs
   keyed by ``(workload, mesh config, engine)``, so repeated campaigns on
   one configuration (the study grid, scaling benches) pay for the golden
-  run once. Workers never compute it at all: the parent ships the golden
-  output to every worker through the pool initializer.
+  run once. Workers never compute it at all: the parent pickles the
+  golden output into the campaign's setup token (see :class:`WorkerPool`)
+  and each worker decodes it once.
+* :class:`WorkerPool` — the one process pool both the parallel tier and
+  the fabric worker agent run shards in. It owns the pool's width,
+  context and start/restart-after-kill/stop, and ships each shard with a
+  setup token, so one pool serves campaign after campaign.
 
 Resilience
 ----------
@@ -56,8 +61,11 @@ the serial path over the sites that ran; only ``wall_seconds`` differs.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
 import os
+import pickle
 import signal as _signal_module
 import threading
 import time
@@ -107,6 +115,7 @@ __all__ = [
     "GOLDEN_CACHE",
     "SerialExecutor",
     "ParallelExecutor",
+    "WorkerPool",
     "shard_sites",
 ]
 
@@ -327,41 +336,49 @@ class SerialExecutor:
 # ----------------------------------------------------------------------
 # Worker-process plumbing
 # ----------------------------------------------------------------------
-# Each worker receives the campaign spec and the parent's golden context
-# exactly once, through the pool initializer; per-shard task payloads are
-# then just site lists. Module-level state is required because process
-# pools can only ship module-level callables.
+# A campaign's setup — the campaign spec, the parent's golden context,
+# the chaos schedule and the trace flag — is pickled once in the parent
+# under its sha256 key. Every shard task carries ``(key, setup bytes,
+# sites)``; a worker decodes the bytes only when the key differs from the
+# setup it last adopted, so a long-lived pool switches campaigns without
+# a restart and a freshly (re)started child adopts the current setup on
+# its first shard. Module-level state is required because process pools
+# can only ship module-level callables.
 #
 # A shard comes back as ``(records, events)``: one sparse
 # ``experiment_record`` per site — the checkpoint line and the fabric
 # wire record, byte for byte — rather than the dense result arrays.
 # Tracing rides the same channel: when the parent's recorder is armed the
-# initializer gives each worker its own TraceRecorder, and every shard
+# adopted setup gives the worker its own TraceRecorder, and every shard
 # payload carries the worker's drained span events alongside the records
 # (timestamps share the parent's monotonic clock, so the merged timeline
 # is coherent). Events never touch the experiment records themselves.
 
-_WORKER_STATE: tuple | None = None
+_WORKER_SETUP: tuple | None = None
 
 
-def _init_worker(
-    campaign: Campaign,
-    golden: np.ndarray,
-    plan: TilingPlan,
-    geometry: ConvGeometry | None,
-    chaos: ChaosSpec | None = None,
-    trace: bool = False,
-) -> None:
-    global _WORKER_STATE
-    recorder = TraceRecorder() if trace else NULL_RECORDER
-    _WORKER_STATE = (campaign, golden, plan, geometry, chaos, recorder)
+def _adopt_setup(setup_key: str, setup: bytes) -> tuple:
+    """The worker's decoded setup for ``setup_key``: ``(key, campaign,
+    golden, plan, geometry, chaos, recorder)``, unpickled from ``setup``
+    only when the key changes."""
+    global _WORKER_SETUP
+    if _WORKER_SETUP is None or _WORKER_SETUP[0] != setup_key:
+        campaign, golden, plan, geometry, chaos, trace = pickle.loads(setup)
+        recorder = TraceRecorder() if trace else NULL_RECORDER
+        _WORKER_SETUP = (
+            setup_key, campaign, golden, plan, geometry, chaos, recorder,
+        )
+    return _WORKER_SETUP
 
 
 def _run_shard(
+    setup_key: str,
+    setup: bytes,
     shard: list[tuple[int, int]],
 ) -> tuple[list[dict], list[dict]]:
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    campaign, golden, plan, geometry, chaos, recorder = _WORKER_STATE
+    _, campaign, golden, plan, geometry, chaos, recorder = _adopt_setup(
+        setup_key, setup
+    )
     with recorder.span("shard.run", cat="worker", sites=len(shard)):
         # Chaos actions fire per site, in site order, before the batch
         # runs. Workers evaluate with null metrics; the parent accounts
@@ -380,6 +397,76 @@ def _run_shard(
     for index in mangled:  # an injected "corrupt" action fired
         records[index] = {"mangled": True}
     return records, recorder.drain()
+
+
+class WorkerPool:
+    """A process pool of fixed width that runs shards under the setup
+    token of the last :meth:`adopt` (see the plumbing notes above), so
+    switching campaigns costs a token swap, not a pool restart.
+    ``context`` names the multiprocessing start method (``None`` is the
+    platform default); children start when the first shards arrive.
+    """
+
+    def __init__(self, width: int, context: str | None = None) -> None:
+        self.width = width
+        self.context = multiprocessing.get_context(context)
+        self._pool: ProcessPoolExecutor | None = None
+        self._setup: tuple[str, bytes] | None = None
+
+    def adopt(
+        self,
+        campaign: Campaign,
+        golden: np.ndarray,
+        plan: TilingPlan,
+        geometry: ConvGeometry | None,
+        chaos: ChaosSpec | None = None,
+        trace: bool = False,
+    ) -> None:
+        """Make this setup the one every later shard runs under."""
+        setup = pickle.dumps(
+            (campaign, golden, plan, geometry, chaos, trace),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        self._setup = (hashlib.sha256(setup).hexdigest(), setup)
+
+    @property
+    def processes(self) -> list:
+        """The pool's child processes (none before the first shard)."""
+        return list((getattr(self._pool, "_processes", None) or {}).values())
+
+    def start(self) -> None:
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.width, mp_context=self.context
+        )
+
+    def submit(self, sites: list[tuple[int, int]]) -> Future:
+        """Run one shard under the adopted setup (raises
+        :class:`BrokenProcessPool` once a child has died)."""
+        assert self._pool is not None and self._setup is not None
+        setup_key, setup = self._setup
+        return self._pool.submit(_run_shard, setup_key, setup, sites)
+
+    def restart(self) -> None:
+        """Kill every child (the only way to reclaim a hung one) and
+        start an empty pool under the same setup."""
+        self.stop(kill=True)
+        self.start()
+
+    def stop(self, kill: bool = False) -> None:
+        """Shut the pool down; ``kill`` terminates the children first."""
+        pool, processes = self._pool, self.processes
+        self._pool = None
+        if pool is None:
+            return
+        if kill:
+            for proc in processes:
+                try:
+                    proc.kill()
+                except OSError:  # already gone
+                    continue
+            pool.shutdown(wait=False, cancel_futures=True)
+        else:
+            pool.shutdown(wait=True)
 
 
 def _validate_shard(payload: object, sites: list[tuple[int, int]]) -> str | None:
@@ -591,41 +678,13 @@ class _ShardDispatcher(_ShardIngest):
         super().__init__(
             executor, campaign, golden, plan, geometry, pending, stream
         )
-        self.initargs = (
+        self.pool = WorkerPool(executor.jobs)
+        self.pool.adopt(
             campaign, golden, plan, geometry, executor.chaos,
             self.obs.recorder.armed,
         )
         self.in_flight: dict[Future, _InFlight] = {}
-        self.pool: ProcessPoolExecutor | None = None
         self._signum: int | None = None
-
-    # -- pool lifecycle ------------------------------------------------
-    def _start_pool(self) -> None:
-        self.pool = ProcessPoolExecutor(
-            max_workers=self.executor.jobs,
-            initializer=_init_worker,
-            initargs=self.initargs,
-        )
-
-    def _stop_pool(self, kill: bool) -> None:
-        """Shut the pool down; ``kill`` forcibly terminates workers (the
-        only way to reclaim a hung one)."""
-        pool, self.pool = self.pool, None
-        if pool is None:
-            return
-        if kill:
-            for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    proc.kill()
-                except OSError:  # already gone
-                    continue
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
-
-    def _restart_pool(self) -> None:
-        self._stop_pool(kill=True)
-        self._start_pool()
 
     # -- signal handling -----------------------------------------------
     @contextmanager
@@ -662,7 +721,7 @@ class _ShardDispatcher(_ShardIngest):
     ]:
         clean = False
         with self._signal_guard():
-            self._start_pool()
+            self.pool.start()
             try:
                 while self.queue or self.in_flight:
                     interrupt = self.executor.interrupt
@@ -675,7 +734,7 @@ class _ShardDispatcher(_ShardIngest):
                     self._check_deadlines()
                 clean = True
             finally:
-                self._stop_pool(kill=not clean)
+                self.pool.stop(kill=not clean)
         return self.completed, self.failures
 
     def _suspect_mode(self) -> bool:
@@ -693,9 +752,8 @@ class _ShardDispatcher(_ShardIngest):
             task = self._pop_ready(now, suspect_mode)
             if task is None:
                 return
-            assert self.pool is not None
             try:
-                future = self.pool.submit(_run_shard, task.sites)
+                future = self.pool.submit(task.sites)
             except BrokenProcessPool:
                 # The pool broke but no reaped future told us yet; the
                 # task never ran, so it goes back unpenalized.
@@ -771,7 +829,7 @@ class _ShardDispatcher(_ShardIngest):
         """
         victims = broken + [e.task for e in self.in_flight.values()]
         self.in_flight.clear()
-        self._restart_pool()
+        self.pool.restart()
         for task in victims:
             task.suspect = True
             self.ladder.fail(
@@ -803,7 +861,7 @@ class _ShardDispatcher(_ShardIngest):
             (timed_out if future in expired else innocent).append(entry.task)
         self.in_flight.clear()
         # A hung worker cannot be cancelled — only killed with its pool.
-        self._restart_pool()
+        self.pool.restart()
         for task in innocent:  # requeue in-flight bystanders, no penalty
             self.queue.appendleft(task)
         for task in timed_out:

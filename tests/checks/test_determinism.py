@@ -186,6 +186,34 @@ class TestWorkerWallClock:
         )
         assert _findings(tmp_path, "worker-wall-clock") == []
 
+    def test_setup_adoption_clock_fires(self, write_module, tmp_path):
+        # The setup-token adoption runs in pool children before every
+        # shard; it may write worker state, but not read the clock.
+        write_module(
+            "repro.core.adopt",
+            """
+            import pickle
+            import time
+
+            _WORKER_SETUP = None
+
+            def _adopt_setup(setup_key, setup):
+                global _WORKER_SETUP
+                if _WORKER_SETUP is None or _WORKER_SETUP[0] != setup_key:
+                    state = pickle.loads(setup)
+                    _WORKER_SETUP = (setup_key, state, time.time())
+                return _WORKER_SETUP
+            """,
+        )
+        graph = ProjectGraph.build([tmp_path])
+        entries = {e.qualname: e.kind for e in discover_worker_entries(graph)}
+        assert entries["repro.core.adopt._adopt_setup"] == "initializer"
+        findings = _findings(tmp_path, "worker-wall-clock")
+        assert len(findings) == 1
+        assert "time.time" in findings[0].message
+        assert "_adopt_setup" in findings[0].message
+        assert _findings(tmp_path, "worker-global-write") == []
+
     def test_parent_side_clock_is_clean(self, write_module, tmp_path):
         write_module(
             "repro.core.parent",
