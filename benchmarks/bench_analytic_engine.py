@@ -16,17 +16,28 @@ Per dataflow (OS and WS — the paper's two schemes on GEMM):
   for pattern;
 * assert ``functional / analytic >= 10``.
 
+An executor row follows: an exhaustive 112x112 random-fill GEMM on the
+analytic engine, per dataflow, run serially, on a 2-process pool and on
+that pool with a checkpoint, interleaved, median wall time of each.
+Every run must equal the serial one. A WS campaign corrupts whole
+output columns, an order of magnitude more cells than an OS one, so on
+the pool tiers its time includes moving every corrupted cell through
+the shard records; each row records the campaign's corrupted-cell count
+next to its times.
+
 Numbers land in ``BENCH_analytic_engine.json`` at the repo root.
 """
 
 import json
+import statistics
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import Campaign, GemmWorkload
-from repro.core.executor import GOLDEN_CACHE
+from repro.core import Campaign, FillKind, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, ParallelExecutor, SerialExecutor
 from repro.core.serialize import SCHEMA_VERSION
 from repro.systolic import Dataflow, MeshConfig
 
@@ -38,6 +49,11 @@ SPEEDUP_FLOOR = 10.0
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_analytic_engine.json"
 
 DATAFLOWS = (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY)
+
+#: The executor row: campaign size, pool width and interleaved repeats.
+EXECUTOR_SIZE = 112
+EXECUTOR_JOBS = 2
+EXECUTOR_REPEATS = 7
 
 
 def make_campaign(dataflow: Dataflow, engine: str) -> Campaign:
@@ -74,6 +90,51 @@ def _best_interleaved(fns, repeats: int = REPEATS):
             results[index] = fn()
             best[index] = min(best[index], time.perf_counter() - start)
     return best, results
+
+
+def _executor_rows() -> list[dict]:
+    """Median ms of the 112x112 analytic campaign per executor tier."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "campaign.jsonl"
+
+        def checkpointed() -> ParallelExecutor:
+            checkpoint.unlink(missing_ok=True)
+            return ParallelExecutor(jobs=EXECUTOR_JOBS, checkpoint=checkpoint)
+
+        tiers = {
+            "serial": SerialExecutor,
+            f"j{EXECUTOR_JOBS}": lambda: ParallelExecutor(jobs=EXECUTOR_JOBS),
+            f"j{EXECUTOR_JOBS}_checkpoint": checkpointed,
+        }
+        size = EXECUTOR_SIZE
+        for dataflow in DATAFLOWS:
+            campaign = Campaign(
+                MESH,
+                GemmWorkload(size, size, size, dataflow, fill=FillKind.RANDOM),
+                engine="analytic",
+            )
+            reference = campaign.run()  # also warms the golden cache
+            samples = {name: [] for name in tiers}
+            for _ in range(EXECUTOR_REPEATS):
+                for name, make in tiers.items():
+                    executor = make()
+                    start = time.perf_counter()
+                    result = campaign.run(executor)
+                    samples[name].append(time.perf_counter() - start)
+                    _assert_identical(reference, result)
+            rows.append({
+                "campaign": f"{size}x{size} {dataflow}",
+                "sites": len(campaign.sites),
+                "corrupted_cells": sum(
+                    e.num_corrupted for e in reference.experiments
+                ),
+                **{
+                    f"{name}_ms": 1e3 * statistics.median(times)
+                    for name, times in samples.items()
+                },
+            })
+    return rows
 
 
 def test_analytic_speedup(benchmark):
@@ -120,6 +181,20 @@ def test_analytic_speedup(benchmark):
         )
     print(f"speedup floor vs functional: {SPEEDUP_FLOOR}x")
 
+    executors = _executor_rows()
+    print(banner(
+        f"Executor tiers — exhaustive {EXECUTOR_SIZE}x{EXECUTOR_SIZE} "
+        f"analytic campaign, median of {EXECUTOR_REPEATS}"
+    ))
+    names = [key for key in executors[0] if key.endswith("_ms")]
+    print(f"{'campaign':>12}  {'cells':>7}  " + "  ".join(
+        f"{name:>15}" for name in names
+    ))
+    for row in executors:
+        print(f"{row['campaign']:>12}  {row['corrupted_cells']:>7}  " + "  ".join(
+            f"{row[name]:>13.0f}ms" for name in names
+        ))
+
     ARTIFACT.write_text(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "bench": "analytic_engine",
@@ -129,6 +204,8 @@ def test_analytic_speedup(benchmark):
         "repeats": REPEATS,
         "speedup_floor": SPEEDUP_FLOOR,
         "sweeps": rows,
+        "executor_repeats": EXECUTOR_REPEATS,
+        "executors": executors,
     }, indent=2) + "\n")
     print(f"written: {ARTIFACT.name}")
 

@@ -105,6 +105,7 @@ from repro.core.serialize import (
     is_failure_record,
     open_jsonl_stream,
     read_checkpoint,
+    unpack_cells,
 )
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
@@ -346,8 +347,13 @@ class SerialExecutor:
 # can only ship module-level callables.
 #
 # A shard comes back as ``(records, events)``: one sparse
-# ``experiment_record`` per site — the checkpoint line and the fabric
-# wire record, byte for byte — rather than the dense result arrays.
+# ``experiment_record`` per site rather than the dense result arrays,
+# with its cells *packed* into one base64 string (see the codec notes in
+# :mod:`repro.core.serialize`) instead of a Python list per corrupted
+# cell. The record crosses the pool pipe and, from a fabric agent, the
+# wire in that form; the parent decodes it with the one reader both
+# forms share and, when a checkpoint is open, writes it with its cells
+# turned back into the list form, so the stream on disk is unchanged.
 # Tracing rides the same channel: when the parent's recorder is armed the
 # adopted setup gives the worker its own TraceRecorder, and every shard
 # payload carries the worker's drained span events alongside the records
@@ -389,7 +395,7 @@ def _run_shard(
             if chaos is not None and chaos.fire(site)
         ]
         records = [
-            experiment_record(experiment)
+            experiment_record(experiment, packed=True)
             for experiment in campaign.run_batch(
                 shard, golden, plan, geometry, recorder=recorder
             )
@@ -549,7 +555,8 @@ class _ShardIngest:
     granularity, the shared :class:`FailureLadder`, and the completed
     map. Every shard result enters through :meth:`_ingest` — validate,
     decode, store — whether it came back from a pool child or off the
-    wire, and the checkpoint appends the records exactly as received.
+    wire, and the checkpoint appends the records with their cells in
+    the list form.
     """
 
     def __init__(
@@ -599,6 +606,20 @@ class _ShardIngest:
     ) -> None:
         self.ladder.fail(task, kind, error)
 
+    def _hand_over(self) -> tuple[
+        dict[tuple[int, int], ExperimentResult],
+        dict[tuple[int, int], FailureRecord],
+    ]:
+        """The completed and quarantined maps, detached from this object.
+
+        A finished dispatch stays in reference cycles (bound-method
+        callbacks, the fabric's server and caught exceptions), which
+        only the cyclic collector frees. Holding the experiments here
+        would pin every dense pattern of the campaign until then.
+        """
+        completed, self.completed = self.completed, {}
+        return completed, self.failures
+
     def _ingest(
         self,
         task: ShardTask,
@@ -647,7 +668,11 @@ class _ShardIngest:
         ).inc(len(experiments))
         if self.obs.progress is not None:
             self.obs.progress.advance(len(experiments))
-        self.executor._record_batch(self.stream, records)
+        if self.stream is not None:  # checkpoint lines keep the list form
+            ndim = self.golden.ndim
+            self.executor._record_batch(
+                self.stream, [unpack_cells(record, ndim) for record in records]
+            )
 
 
 class _ShardDispatcher(_ShardIngest):
@@ -735,7 +760,7 @@ class _ShardDispatcher(_ShardIngest):
                 clean = True
             finally:
                 self.pool.stop(kill=not clean)
-        return self.completed, self.failures
+        return self._hand_over()
 
     def _suspect_mode(self) -> bool:
         return any(task.suspect for task in self.queue) or any(
@@ -1088,8 +1113,7 @@ class ParallelExecutor:
     def _record_batch(
         self, stream: IO[str] | None, records: list[dict]
     ) -> None:
-        """Append one shard's experiment records, as received, and
-        fsync them."""
+        """Append one shard's experiment records and fsync them."""
         if stream is None or not records:
             return
         for record in records:

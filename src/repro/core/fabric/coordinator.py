@@ -197,7 +197,7 @@ class Coordinator(_ShardIngest):
                 completed=len(self.completed),
                 remaining=remaining,
             )
-        return self.completed, self.failures
+        return self._hand_over()
 
     def _finish(self) -> None:
         """End the session. The listener closes before any ``drain`` is

@@ -17,6 +17,7 @@ sparse in exactly the structured way the taxonomy describes.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import struct
@@ -58,8 +59,10 @@ __all__ = [
     "save_metrics",
     "load_metrics",
     "checkpoint_header",
+    "CELL_DTYPE",
     "experiment_record",
     "experiment_from_record",
+    "unpack_cells",
     "failure_record",
     "failure_from_record",
     "is_failure_record",
@@ -275,6 +278,26 @@ def load_metrics(path: str | Path) -> MetricsRegistry:
 # mask/deviation arrays are rebuilt against the golden output's shape on
 # load, which keeps checkpoints small for exactly the reason the paper's
 # taxonomy exists: SSF corruption is structured and sparse.
+#
+# The cells take one of two forms. On disk and in every artefact they
+# are a list of ``[*coords, deviation]`` rows. Live shard records — the
+# ones a pool child returns and a fabric agent forwards in its ``result``
+# frame — carry them *packed*: one base64 string of the same table as
+# little-endian int64 (:data:`CELL_DTYPE`), row-major, ``ndim + 1``
+# columns. A WS campaign corrupts whole output columns, so the list form
+# costs a Python list per cell to build, pickle, frame and parse; the
+# packed form is one string. :func:`experiment_from_record` reads both.
+
+#: Element type of a packed cell table: the deviation dtype, fixed
+#: little-endian so the bytes mean the same on every host.
+CELL_DTYPE = np.dtype("<i8")
+
+
+class _CellRangeError(ValueError, IndexError):
+    """A cell coordinate lies outside the output. Both a ``ValueError``
+    (a malformed record, like every other cell fault) and an
+    ``IndexError`` (what a NumPy scatter out of bounds raises), as
+    NumPy's own ``AxisError`` is."""
 
 
 def checkpoint_header(campaign: Campaign) -> dict[str, Any]:
@@ -295,20 +318,31 @@ def checkpoint_header(campaign: Campaign) -> dict[str, Any]:
     }
 
 
-def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
+def experiment_record(
+    experiment: ExperimentResult, packed: bool = False
+) -> dict[str, Any]:
     """Serialise one experiment as a JSON-compatible checkpoint record.
 
     The classification evidence is stored verbatim (not re-derived on
     load) so that a resumed campaign is field-for-field identical to an
-    uninterrupted one even when patterns were not kept.
+    uninterrupted one even when patterns were not kept. ``packed``
+    selects the live form of the cells (one base64 string, see the
+    notes above) instead of the on-disk list of rows; nothing else in
+    the record differs.
     """
     classification = experiment.classification
-    cells: list[list[int]] | None = None
+    cells: list[list[int]] | str | None = None
     if experiment.pattern is not None:
         pattern = experiment.pattern
-        cells = np.column_stack(
+        table = np.column_stack(
             (np.argwhere(pattern.mask), pattern.deviation[pattern.mask])
-        ).tolist()
+        )
+        if packed:
+            cells = base64.b64encode(
+                table.astype(CELL_DTYPE, copy=False).tobytes()
+            ).decode("ascii")
+        else:
+            cells = table.tolist()
     return {
         "site": {
             "row": experiment.site.row,
@@ -326,6 +360,79 @@ def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
         "max_abs_deviation": experiment.max_abs_deviation,
         "cells": cells,
     }
+
+
+def _cell_table(cells: list | str, ndim: int) -> np.ndarray:
+    """The ``(n, ndim + 1)`` integer table behind either cell form.
+
+    Raises ``ValueError`` when a packed string is not base64 or not a
+    whole number of rows, or a list is not integer rows of that width.
+    """
+    width = ndim + 1
+    if isinstance(cells, str):
+        try:
+            raw = base64.b64decode(cells, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise ValueError(f"packed cells are not base64: {exc}") from exc
+        if len(raw) % (width * CELL_DTYPE.itemsize):
+            raise ValueError(
+                f"packed cells hold {len(raw)} bytes, not a whole number "
+                f"of {width}-column {CELL_DTYPE.name} rows"
+            )
+        return np.frombuffer(raw, dtype=CELL_DTYPE).reshape(-1, width)
+    if not cells:
+        return np.empty((0, width), dtype=CELL_DTYPE)
+    table = np.asarray(cells)
+    if table.ndim != 2 or table.shape[1] != width or table.dtype.kind != "i":
+        raise ValueError(
+            f"cells must be [*coords, deviation] integer rows for "
+            f"a {ndim}-d output"
+        )
+    return table
+
+
+def unpack_cells(record: dict[str, Any], ndim: int) -> dict[str, Any]:
+    """``record`` with packed cells turned into the on-disk list form,
+    the other fields untouched (``record`` itself when its cells are not
+    packed). ``ndim`` is the output's rank; the packed table must decode
+    (:func:`experiment_from_record` has checked it)."""
+    cells = record.get("cells")
+    if not isinstance(cells, str):
+        return record
+    return {**record, "cells": _cell_table(cells, ndim).tolist()}
+
+
+def _dense_deviation(
+    cells: list | str, shape: tuple[int, ...], num_corrupted: object
+) -> np.ndarray:
+    """The dense deviation array a record's cells describe.
+
+    Every cell must lie inside ``shape``, deviate by a non-zero amount
+    and appear once, and there must be ``num_corrupted`` of them: a
+    record that breaks any of these raises ``ValueError`` instead of
+    rebuilding a pattern that disagrees with its own statistics.
+    """
+    table = _cell_table(cells, len(shape))
+    try:
+        flat = np.ravel_multi_index(table[:, :-1].T, shape)
+    except ValueError as exc:
+        raise _CellRangeError(
+            f"a cell lies outside the {shape} output"
+        ) from exc
+    if len(table) != num_corrupted:
+        raise ValueError(
+            f"{len(table)} cells for a record of {num_corrupted!r} "
+            f"corrupted cells"
+        )
+    values = table[:, -1]
+    deviation = np.zeros(shape, dtype=np.int64)
+    deviation.reshape(-1)[flat] = values
+    # Fewer non-zero entries than cells: a zero deviation or a repeat.
+    if np.count_nonzero(deviation) != len(table):
+        if not values.all():
+            raise ValueError("a cell has a zero deviation")
+        raise ValueError("a cell appears more than once")
+    return deviation
 
 
 def experiment_from_record(
@@ -351,11 +458,13 @@ def experiment_from_record(
     Raises
     ------
     ValueError
-        If the cells are not integer ``[*coords, deviation]`` rows
-        matching ``shape`` (or a field value is unknown).
-    KeyError, TypeError, IndexError
-        If a field is missing or mistyped, or a cell lies outside
-        ``shape``.
+        If the cells, in either form, are not integer ``[*coords,
+        deviation]`` rows matching ``shape``, a cell lies outside
+        ``shape`` (also an ``IndexError``), deviates by zero or repeats,
+        the cell count is not ``num_corrupted``, or a field value is
+        unknown.
+    KeyError, TypeError
+        If a field is missing or mistyped.
     """
     site_fields = record["site"]
     site = FaultSite(
@@ -374,19 +483,7 @@ def experiment_from_record(
     pattern: FaultPattern | None = None
     cells = record.get("cells")
     if cells is not None and shape is not None:
-        deviation = np.zeros(shape, dtype=np.int64)
-        if cells:
-            table = np.asarray(cells)
-            if (
-                table.ndim != 2
-                or table.shape[1] != len(shape) + 1
-                or table.dtype.kind != "i"
-            ):
-                raise ValueError(
-                    f"cells must be [*coords, deviation] integer rows for "
-                    f"a {len(shape)}-d output"
-                )
-            deviation[tuple(table[:, :-1].T)] = table[:, -1]
+        deviation = _dense_deviation(cells, shape, record["num_corrupted"])
         pattern = FaultPattern(
             mask=deviation != 0,
             deviation=deviation,
@@ -445,13 +542,14 @@ def is_failure_record(record: dict[str, Any]) -> bool:
 #
 # The distributed campaign fabric speaks frames: a 4-byte big-endian
 # payload length followed by one UTF-8 JSON object with a mandatory
-# ``"type"`` key. Results cross the wire as the *same* experiment
-# records the checkpoint stream uses (``experiment_record``), so wire
-# fidelity is pinned by the exact resume tests that pin checkpoint
-# fidelity — one codec, two transports.
+# ``"type"`` key. Results cross the wire as the experiment records the
+# pool children encode (``experiment_record`` with packed cells) and
+# are read by the same ``experiment_from_record`` that reads checkpoint
+# lines, so a packed table that does not decode is a ``ValueError``,
+# never an unpickled object — one codec, two cell forms.
 
 #: Upper bound on one frame's payload. Generous — a batched shard result
-#: for a large mesh is a few MB of sparse cells — but finite, so a
+#: for a large mesh is a few MB of packed cells — but finite, so a
 #: corrupt or malicious length prefix cannot make a peer allocate
 #: unboundedly.
 MAX_FRAME_BYTES = 64 * 1024 * 1024

@@ -8,11 +8,19 @@ spelled out explicitly.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro.core.campaign import CampaignResult, ExperimentResult
+
+#: The checkout's root: the working directory of every test that starts
+#: ``python -m repro.cli`` with ``PYTHONPATH=src``.
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def assert_experiments_equal(a: ExperimentResult, b: ExperimentResult) -> None:
@@ -47,6 +55,25 @@ def assert_campaigns_equivalent(
     assert reference.sdc_rate() == candidate.sdc_rate()
     assert reference.dominant_class() is candidate.dominant_class()
     assert reference.is_single_class() == candidate.is_single_class()
+
+
+def assert_freed_on_drop(run: Callable[[], CampaignResult]) -> None:
+    """Dropping the result of ``run()`` frees its patterns at once.
+
+    The cyclic collector is paused throughout, so a dispatcher left in a
+    reference cycle that still held the experiments would keep them
+    alive, and the patterns of every finished campaign would pile up
+    until the next collection.
+    """
+    gc.disable()
+    try:
+        result = run()
+        pattern = next(e.pattern for e in result.experiments if e.sdc)
+        freed = weakref.ref(pattern.deviation)
+        del result, pattern
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def operand_digest(workload) -> str:

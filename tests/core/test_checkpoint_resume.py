@@ -62,6 +62,17 @@ class TestCheckpointStream:
         }
         assert recorded_sites == set(make_campaign().sites)
 
+    def test_lines_are_the_list_form_records(self, tmp_path, uninterrupted):
+        # Shard records cross the pool pipe with packed cells; the
+        # checkpoint still holds, line for line, what experiment_record
+        # writes for the serial experiments.
+        path = tmp_path / "campaign.jsonl"
+        run_with_checkpoint(path)
+        lines = path.read_text().splitlines()[1:]
+        assert sorted(lines) == sorted(
+            json.dumps(experiment_record(e)) for e in uninterrupted.experiments
+        )
+
     def test_record_roundtrip_is_lossless(self, tmp_path, uninterrupted):
         for experiment in uninterrupted.experiments:
             record = json.loads(json.dumps(experiment_record(experiment)))

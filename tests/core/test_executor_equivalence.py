@@ -29,6 +29,7 @@ from repro.systolic import Dataflow, MeshConfig
 
 from tests.core._support import (
     assert_campaigns_equivalent,
+    assert_freed_on_drop,
     operand_digest,
 )
 
@@ -90,6 +91,10 @@ class TestParallelEqualsSerial:
             e.site for e in serial.experiments
         ]
         assert_campaigns_equivalent(serial, parallel)
+
+    def test_dropping_the_result_frees_its_patterns(self):
+        campaign = Campaign(MESH, WORKLOADS["gemm-WS"])
+        assert_freed_on_drop(lambda: campaign.run(ParallelExecutor(jobs=2)))
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError, match="jobs"):

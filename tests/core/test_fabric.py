@@ -16,6 +16,7 @@ process (``drop``) and the coordinator crash/restart tests drive real
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import signal
 import socket
@@ -46,6 +47,7 @@ from repro.core.fabric.protocol import MSG_DRAIN, MSG_RESULT, MSG_WELCOME
 from repro.core.serialize import (
     decode_frame,
     encode_frame,
+    experiment_record,
     fabric_setup_from_record,
     fabric_setup_record,
     lease_from_record,
@@ -54,7 +56,11 @@ from repro.core.serialize import (
 from repro.obs import MetricsRegistry, Observability
 from repro.systolic import Dataflow, MeshConfig
 
-from tests.core._support import assert_campaigns_equivalent
+from tests.core._support import (
+    REPO_ROOT,
+    assert_campaigns_equivalent,
+    assert_freed_on_drop,
+)
 
 MESH = MeshConfig(rows=4, cols=4)
 WORKLOAD = GemmWorkload.square(8, Dataflow.WEIGHT_STATIONARY)
@@ -147,7 +153,7 @@ def spawn_cli_worker(port: int, *extra: str) -> subprocess.Popen:
             *extra,
         ],
         env=env,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         # DEVNULL, not PIPE: the worker's spawn-context pool children
         # inherit its stdio, so a pipe would stay open past the
         # worker's own death and wedge any EOF-waiting reader.
@@ -313,6 +319,9 @@ class TestDistributedEquivalence:
             thread.join(timeout=30)
         assert_campaigns_equivalent(serial, result)
 
+    def test_dropping_the_result_frees_its_patterns(self):
+        assert_freed_on_drop(lambda: run_distributed()[0])
+
     def test_checkpoint_stream_matches_parallel_format(self, tmp_path, serial):
         path = tmp_path / "fabric.jsonl"
         result, _ = run_distributed(checkpoint=path)
@@ -320,6 +329,11 @@ class TestDistributedEquivalence:
         header, records = read_checkpoint(path)
         assert header["kind"] == "campaign-checkpoint"
         assert len(records) == MESH.num_macs
+        # Records cross the wire with packed cells but land in the list
+        # form, as experiment_record writes them.
+        assert sorted(path.read_text().splitlines()[1:]) == sorted(
+            json.dumps(experiment_record(e)) for e in serial.experiments
+        )
         # The stream is the parallel tier's own format: a plain
         # ParallelExecutor resumes it to a complete, identical campaign.
         resumed = make_campaign().run(ParallelExecutor(jobs=2, resume=path))
@@ -460,6 +474,40 @@ class TestNetworkChaos:
             make_campaign().run(executor)
         for thread in threads:
             thread.join(timeout=30)
+
+    def test_truncated_packed_cells_are_a_protocol_error(
+        self, monkeypatch, serial
+    ):
+        # A result frame that parses but carries a torn packed cell
+        # table must not poison the merge: the coordinator's decoder
+        # rejects it, the attempt fails as a protocol error and the
+        # shard is retried, and the campaign still matches serial.
+        from repro.core.fabric import worker as worker_module
+
+        real_send = worker_module.send_frame
+        guard = threading.Lock()
+        torn: list[str] = []
+
+        async def tearing_send(writer, message, timeout, lock=None):
+            if message.get("type") == MSG_RESULT:
+                with guard:
+                    live = [r for r in message["records"] if r.get("cells")]
+                    if live and not torn:
+                        cells = live[0]["cells"]
+                        live[0]["cells"] = cells[: len(cells) // 2]
+                        torn.append(cells)
+            await real_send(writer, message, timeout, lock=lock)
+
+        monkeypatch.setattr(worker_module, "send_frame", tearing_send)
+        result, metrics = run_distributed()
+        assert len(torn) == 1 and isinstance(torn[0], str)
+        assert_campaigns_equivalent(serial, result)
+        assert (
+            metrics.value("repro_shard_failures_total", kind="protocol-error")
+            == 1.0
+        )
+        assert metrics.value("repro_shard_retries_total") >= 1.0
+        assert metrics.value("repro_fabric_worker_lost_total") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +803,7 @@ class TestCoordinatorShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path)],
             env=_driver_env(),
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -799,7 +847,7 @@ class TestCoordinatorShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path), str(port)],
             env=_driver_env(),
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

@@ -46,6 +46,7 @@ from repro.core.serialize import campaign_to_dict
 from repro.systolic import Dataflow, MeshConfig
 
 from tests.core._support import (
+    REPO_ROOT,
     assert_campaigns_equivalent,
     assert_experiments_equal,
 )
@@ -482,7 +483,7 @@ class TestGracefulShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path)],
             env=env,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

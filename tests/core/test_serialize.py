@@ -3,13 +3,18 @@
 import base64
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.chaos import ChaosAction, ChaosSpec
 from repro.core.fabric.worker import WorkerAgent
+from repro.core.fault_patterns import FaultPattern
 from repro.core.serialize import (
     FABRIC_SETUP_VERSION,
     SCHEMA_VERSION,
@@ -28,6 +33,7 @@ from repro.core.serialize import (
     save_campaign,
     save_fault_dictionary,
     save_metrics,
+    unpack_cells,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.systolic import Dataflow, MeshConfig
@@ -263,6 +269,167 @@ class TestRecordCodec:
         record["cells"] = cells
         with pytest.raises(error):
             experiment_from_record(record, shape=ws_result.golden.shape)
+
+
+# ----------------------------------------------------------------------
+# Cell validation, in both forms: a record's cells must describe the
+# pattern its own statistics claim
+# ----------------------------------------------------------------------
+
+
+def pack(rows) -> str:
+    """The packed form of a list of ``[row, col, deviation]`` cells."""
+    table = np.asarray(rows, dtype="<i8").reshape(-1, 3)
+    return base64.b64encode(table.tobytes()).decode("ascii")
+
+
+class TestCellValidation:
+    @pytest.mark.parametrize("form", ["list", "packed"])
+    @pytest.mark.parametrize(
+        "cells, num_corrupted",
+        [
+            ([[-1, -1, 5]], 1),  # negative indices would wrap to (3, 3)
+            ([[4, 0, 5]], 1),  # past the last row
+            ([[1, 1, 0]], 1),  # a zero deviation is no corruption
+            ([[1, 1, 5], [1, 1, 7]], 2),  # duplicate cell, last write wins
+            ([[1, 1, 5]], 2),  # fewer cells than num_corrupted
+            ([], 1),
+            ([[1, 1, 5], [2, 2, 6]], 1),  # more cells than num_corrupted
+        ],
+    )
+    def test_inconsistent_cells_raise(self, ws_result, form, cells, num_corrupted):
+        record = experiment_record(ws_result.experiments[0])
+        record["cells"] = cells if form == "list" else pack(cells)
+        record["num_corrupted"] = num_corrupted
+        with pytest.raises(ValueError):
+            experiment_from_record(record, shape=(4, 4))
+
+    @pytest.mark.parametrize("form", ["list", "packed"])
+    def test_consistent_cells_decode(self, ws_result, form):
+        cells = [[0, 3, -2], [3, 0, 9]]
+        record = experiment_record(ws_result.experiments[0])
+        record["cells"] = cells if form == "list" else pack(cells)
+        record["num_corrupted"] = 2
+        pattern = experiment_from_record(record, shape=(4, 4)).pattern
+        assert pattern.num_corrupted == 2
+        assert pattern.deviation[0, 3] == -2 and pattern.deviation[3, 0] == 9
+
+
+# ----------------------------------------------------------------------
+# Packed cell tables: round trips and byte-level fuzzing
+# ----------------------------------------------------------------------
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def deviations(draw) -> np.ndarray:
+    """A sparse int64 deviation array on a 2-d GEMM or 4-d conv output."""
+    shape = draw(st.one_of(
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+        hnp.array_shapes(min_dims=4, max_dims=4, max_side=3),
+    ))
+    return draw(hnp.arrays(np.int64, shape, elements=st.just(0) | INT64))
+
+
+def with_pattern(template, deviation: np.ndarray):
+    """``template`` carrying ``deviation`` as its pattern."""
+    return replace(
+        template,
+        pattern=FaultPattern(mask=deviation != 0, deviation=deviation),
+        num_corrupted=int(np.count_nonzero(deviation)),
+    )
+
+
+def decodes_consistently(record: dict, shape: tuple[int, ...]) -> None:
+    """Decode ``record``; a decode that succeeds must agree with the
+    record's own cell count. Only ``ValueError`` may escape."""
+    pattern = experiment_from_record(record, shape=shape).pattern
+    assert pattern.num_corrupted == record["num_corrupted"]
+
+
+class TestPackedCells:
+    @settings(max_examples=80, deadline=None)
+    @given(deviation=deviations())
+    @example(deviation=np.zeros((3, 4), dtype=np.int64))
+    @example(deviation=np.zeros((1, 2, 2, 3), dtype=np.int64))
+    def test_round_trip_equals_the_list_form(self, ws_result, deviation):
+        experiment = with_pattern(ws_result.experiments[0], deviation)
+        listed = experiment_record(experiment)
+        packed = json.loads(json.dumps(experiment_record(experiment, packed=True)))
+        assert isinstance(packed["cells"], str)
+        assert {**packed, "cells": None} == {**listed, "cells": None}
+        for record in (packed, json.loads(json.dumps(listed))):
+            back = experiment_from_record(record, shape=deviation.shape)
+            assert back.pattern.deviation.dtype == np.int64
+            assert np.array_equal(back.pattern.deviation, deviation)
+            assert np.array_equal(back.pattern.mask, deviation != 0)
+            assert json.dumps(experiment_record(back)) == json.dumps(listed)
+        # The checkpoint line written for a live record is the list form,
+        # byte for byte.
+        assert json.dumps(unpack_cells(packed, deviation.ndim)) == json.dumps(
+            listed
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(deviation=deviations(), data=st.data())
+    def test_byte_mutations_raise_only_value_error(
+        self, ws_result, deviation, data
+    ):
+        record = experiment_record(
+            with_pattern(ws_result.experiments[0], deviation), packed=True
+        )
+        cells, shape = record["cells"], deviation.shape
+        raw = bytearray(base64.b64decode(cells))
+        row_bytes = 8 * (len(shape) + 1)
+        kind = data.draw(st.sampled_from(
+            ["bad-base64", "truncate", "ragged", "out-of-range",
+             "flip-bytes", "any-text"]
+        ))
+        must_fail = True
+        if kind == "bad-base64":
+            at = data.draw(st.integers(0, len(cells)))
+            junk = data.draw(st.sampled_from(list("!-_.*~ \n\u00e9")))
+            mutated = cells[:at] + junk + cells[at:]
+        elif kind == "truncate":
+            if not cells:
+                return
+            mutated = cells[: data.draw(st.integers(0, len(cells) - 1))]
+        elif kind == "ragged":
+            extra = data.draw(st.binary(min_size=1, max_size=row_bytes - 1))
+            mutated = base64.b64encode(bytes(raw) + extra).decode("ascii")
+        elif kind == "out-of-range":
+            if not raw:
+                return
+            row = data.draw(st.integers(0, len(raw) // row_bytes - 1))
+            axis = data.draw(st.integers(0, len(shape) - 1))
+            value = data.draw(
+                st.integers(-(2**63), -1)
+                | st.integers(shape[axis], 2**63 - 1)
+            )
+            offset = row * row_bytes + 8 * axis
+            raw[offset:offset + 8] = value.to_bytes(8, "little", signed=True)
+            mutated = base64.b64encode(bytes(raw)).decode("ascii")
+        elif kind == "flip-bytes":
+            if not raw:
+                return
+            for _ in range(data.draw(st.integers(1, 4))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                raw[at] ^= data.draw(st.integers(1, 255))
+            mutated = base64.b64encode(bytes(raw)).decode("ascii")
+            must_fail = False
+        else:
+            mutated = data.draw(st.text(max_size=64))
+            must_fail = False
+        record["cells"] = mutated
+        if must_fail:
+            with pytest.raises(ValueError):
+                experiment_from_record(record, shape=shape)
+            return
+        try:
+            decodes_consistently(record, shape)
+        except ValueError:
+            pass
 
 
 # ----------------------------------------------------------------------

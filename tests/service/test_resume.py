@@ -29,7 +29,7 @@ from repro.core.serialize import (
     read_job_registry,
 )
 
-from tests.core._support import assert_campaigns_equivalent
+from tests.core._support import REPO_ROOT, assert_campaigns_equivalent
 
 #: Cycle-accurate engine on a 10x10 mesh: a few seconds of real work —
 #: wide enough to land a SIGKILL mid-campaign, small enough to re-run
@@ -63,7 +63,7 @@ def spawn_server(state_dir, *extra: str) -> tuple[subprocess.Popen, int]:
             *extra,
         ],
         env=env,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
