@@ -102,10 +102,10 @@ def test_lint_cache_warmup(benchmark):
     """Warm-cache lint stays >= 5x over cold, full battery included.
 
     The cold run pays parsing, every per-file rule, the project graph,
-    and all whole-program passes — including the array shape/dtype
-    interpreter, the costliest addition to the battery; the warm rerun
-    must reduce to hashing plus one JSON read. Measured on the real
-    ``src/repro`` tree so the pin tracks the battery as it grows.
+    and all whole-program passes — the flow engine's fixpoints are the
+    costliest; the warm rerun must reduce to hashing plus one JSON read.
+    Measured on the real ``src/repro`` tree so the pin tracks the battery
+    as it changes.
     """
     source = Path(__file__).resolve().parent.parent / "src" / "repro"
     with tempfile.TemporaryDirectory() as td:

@@ -17,10 +17,11 @@ Python library:
   systolic-array hardware model (the paper's proposed LLTFI integration);
 * :mod:`repro.nn` — a small quantised DNN inference engine for the
   accuracy-degradation and masking studies;
-* :mod:`repro.analysis` — spatial statistics and Fig. 3-style rendering;
-* :mod:`repro.checks` — AST-based static analysis enforcing the
-  cross-layer invariants (bit-accuracy, signal registry, determinism,
-  export hygiene, dataclass contracts) over this code base itself.
+* :mod:`repro.analysis` — spatial statistics and Fig. 3-style rendering.
+
+Static analysis of this code base itself lives in :mod:`repro.checks`
+(``repro-fi lint``); it is a development tool, so ``import repro`` does
+not load it.
 
 Quickstart
 ----------
@@ -33,9 +34,6 @@ Quickstart
 """
 
 from repro.appfi import AppLevelInjector, HardwareModel, attach_permanent_fault
-from repro.checks import Finding
-from repro.checks import Severity as LintSeverity
-from repro.checks import run_checks
 from repro.mitigation import (
     AbftGemm,
     OffliningGemm,
@@ -147,10 +145,6 @@ __all__ = [
     "VulnerabilityProfile",
     "run_paper_study",
     "StudyReport",
-    # static analysis of the code base itself
-    "run_checks",
-    "Finding",
-    "LintSeverity",
     # mitigation
     "AbftGemm",
     "TemporalRedundantGemm",

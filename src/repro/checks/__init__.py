@@ -8,22 +8,20 @@ them statically, at two granularities:
 
 * **per-file rules** — :mod:`repro.checks.engine` is a small AST rule
   engine with per-line ``# repro: ignore[rule]`` suppressions, and
-  :mod:`repro.checks.rules` is the battery of repo-specific rules;
+  :mod:`repro.checks.rules` is the battery of repo-specific rules
+  (including the numpy tier's explicit-dtype discipline);
 * **whole-program passes** — :mod:`repro.checks.graph` builds a
   project-wide import/symbol/call graph, on which
   :mod:`repro.checks.determinism` proves the parallel executor's
-  worker-reachable code free of fork-safety hazards and
+  worker-reachable code free of fork-safety hazards,
   :mod:`repro.checks.intervals` proves the MAC datapath's
   INT8×INT8→INT32 bit-width contract by abstract interpretation, and
-  :mod:`repro.checks.arrays` proves the vectorised numpy tier's
-  shape/dtype discipline over an (abstract shape × dtype) lattice — no
-  platform-default ints, no refutable broadcasts, count-preserving
-  reshapes, no hoistable allocations in hot loops;
+  :mod:`repro.checks.sockets` proves every networked wait carries a
+  deadline;
 * **interprocedural dataflow passes** — :mod:`repro.checks.flow` is a
   summary-based taint/escape engine over the same graph, powering the
-  exception-contract verifier (:mod:`repro.checks.contracts`), the
-  golden-purity taint proof (:mod:`repro.checks.purity`), and the
-  serialization schema-drift check (:mod:`repro.checks.schema`).
+  exception-contract verifier (:mod:`repro.checks.contracts`) and the
+  golden-purity taint proof (:mod:`repro.checks.purity`).
 
 Infrastructure: :mod:`repro.checks.cache` (incremental result cache and
 the ``lint_paths`` orchestrator), :mod:`repro.checks.baseline` (staged
@@ -58,15 +56,9 @@ from repro.checks.engine import (
     run_project_checks,
     select_rules,
 )
-from repro.checks.arrays import (
-    ARRAY_RULES,
-    ArrayAllocInLoopRule,
-    ArrayBroadcastRule,
-    ArrayDtypeClosureRule,
-    ArrayShapeConservationRule,
-)
 from repro.checks.rules import (
     ALL_RULES,
+    ArrayDtypeClosureRule,
     BitAccuracyRule,
     DataclassContractRule,
     ExportHygieneRule,
@@ -77,7 +69,6 @@ from repro.checks.rules import (
 from repro.checks.contracts import CONTRACT_RULES, ExceptionContractRule
 from repro.checks.flow import BOTTOM, EscapeAnalysis, Fact, ForwardTaintAnalysis, Param
 from repro.checks.purity import PURITY_RULES, GoldenPurityRule
-from repro.checks.schema import SCHEMA_RULES, SchemaDriftRule
 from repro.checks.baseline import (
     apply_baseline,
     baseline_fingerprint,
@@ -110,6 +101,7 @@ __all__ = [
     "UnseededRandomRule",
     "ExportHygieneRule",
     "DataclassContractRule",
+    "ArrayDtypeClosureRule",
     "ALL_RULES",
     "get_rule",
     # flow engine and passes
@@ -120,16 +112,8 @@ __all__ = [
     "EscapeAnalysis",
     "ExceptionContractRule",
     "GoldenPurityRule",
-    "SchemaDriftRule",
     "CONTRACT_RULES",
     "PURITY_RULES",
-    "SCHEMA_RULES",
-    # array shape/dtype pass
-    "ArrayDtypeClosureRule",
-    "ArrayBroadcastRule",
-    "ArrayShapeConservationRule",
-    "ArrayAllocInLoopRule",
-    "ARRAY_RULES",
     # infrastructure
     "DEFAULT_CACHE_PATH",
     "LintCache",

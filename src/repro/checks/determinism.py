@@ -6,7 +6,9 @@ process can run*: one wall-clock read, one unseeded RNG draw, or one
 unordered set iteration anywhere in the worker-reachable call graph and
 the merged :class:`CampaignResult` silently stops being a pure function
 of (workload, mesh, fault site). These rules statically prove the
-absence of each hazard class.
+absence of each hazard class; unseeded RNG draws and OS entropy are
+banned in every module by the per-file ``unseeded-random`` rule, so no
+worker-path rule repeats that.
 
 Worker entry points are discovered, not configured:
 
@@ -19,8 +21,8 @@ Worker entry points are discovered, not configured:
 The *pool-initializer protocol* is the one sanctioned exception: an
 initializer's whole purpose is to write module-level state exactly once
 per worker before any task runs, so initializers are exempt from
-``worker-global-write`` (but not from the clock/entropy/ordering rules —
-an initializer that reads the clock is just as nondeterministic).
+``worker-global-write`` (but not from the clock/ordering rules — an
+initializer that reads the clock is just as nondeterministic).
 ``_adopt_setup`` — the executor's setup-token adoption, which every
 shard runs first and which decodes a new setup into module state when
 its key changes — is an initializer under this protocol.
@@ -29,9 +31,8 @@ The second sanctioned exception is *telemetry*: the observability
 subsystem (:data:`SANCTIONED_TELEMETRY`, i.e. ``repro.obs``) exists to
 measure how long worker code took, which requires clock reads on worker
 paths by design. Its modules are allowlisted for ``worker-wall-clock``
-and ``worker-entropy`` only — every other rule in the battery still
-covers them, and clock reads in results-path modules still fire. The
-safety argument is the bit-equivalence contract: observability never
+only — every other rule in the battery still covers them, and clock
+reads in results-path modules still fire. The safety argument is the bit-equivalence contract: observability never
 feeds a value back into an experiment result (pinned by
 ``tests/core/test_obs_equivalence.py``), so a timestamp there cannot
 make results depend on *when* they were computed.
@@ -56,13 +57,6 @@ Rules
 ``worker-wall-clock``
     ``time.time()`` / ``datetime.now()``-style reads on worker-reachable
     paths make results depend on when — not what — was computed.
-``worker-entropy``
-    ``os.urandom``, stdlib ``random``, legacy ``numpy.random`` globals,
-    or an unseeded ``default_rng()`` on a worker-reachable path.
-``worker-unpicklable``
-    A lambda or closure handed to ``submit``/``map``/``initializer=``:
-    process pools pickle their callables, so these fail at runtime — and
-    only once a pool actually spins up.
 ``worker-exception-swallow``
     A bare ``except:`` (or ``except Exception:`` / ``BaseException``)
     whose body only passes, on a worker-reachable path. The resilient
@@ -79,13 +73,11 @@ from typing import Iterator
 
 from repro.checks.engine import Finding, ProjectRule, Severity
 from repro.checks.graph import MUTATING_METHODS, FunctionInfo, ProjectGraph
-from repro.checks.rules import _LEGACY_NUMPY_RANDOM
 
 __all__ = [
     "CONVENTIONAL_ENTRIES",
     "INITIALIZER_ENTRIES",
     "WALL_CLOCK_CALLS",
-    "ENTROPY_CALLS",
     "SANCTIONED_TELEMETRY",
     "is_sanctioned_telemetry",
     "WorkerEntry",
@@ -94,8 +86,6 @@ __all__ = [
     "WorkerUnorderedIterRule",
     "MergeUnorderedIterRule",
     "WorkerWallClockRule",
-    "WorkerEntropyRule",
-    "WorkerUnpicklableRule",
     "WorkerExceptionSwallowRule",
     "DETERMINISM_RULES",
 ]
@@ -128,16 +118,13 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-#: Dotted external callables that draw OS entropy.
-ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
-
-#: Module prefixes whose clock/entropy reads are sanctioned telemetry.
+#: Module prefixes whose clock reads are sanctioned telemetry.
 #: The observability subsystem measures *how long* worker code took; it
 #: never feeds a value into *what* the results are (the bit-equivalence
 #: contract, pinned by ``tests/core/test_obs_equivalence.py``), so its
 #: clock reads cannot make results time-dependent. The allowlist scopes
-#: ``worker-wall-clock`` / ``worker-entropy`` only — all other
-#: determinism rules still apply to these modules in full.
+#: ``worker-wall-clock`` only — all other determinism rules still apply
+#: to these modules in full.
 SANCTIONED_TELEMETRY: tuple[str, ...] = ("repro.obs",)
 
 
@@ -541,8 +528,8 @@ class MergeUnorderedIterRule(ProjectRule):
         return None
 
 
-class _ExternalCallRule(_WorkerRule):
-    """Shared shape: flag selected external calls on worker paths.
+class WorkerWallClockRule(_WorkerRule):
+    """No wall-clock reads on worker-reachable paths.
 
     Functions living in a :data:`SANCTIONED_TELEMETRY` module are skipped:
     the clock reads there are the observability subsystem doing its job
@@ -550,6 +537,12 @@ class _ExternalCallRule(_WorkerRule):
     module, so results-path code calling the clock directly still fires
     even when observability is also in the worker closure.
     """
+
+    id = "worker-wall-clock"
+    description = (
+        "worker-reachable code must not read the wall clock (time.time, "
+        "datetime.now, …); results must be a pure function of the inputs"
+    )
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
         chains, _ = self._closure(graph)
@@ -560,124 +553,14 @@ class _ExternalCallRule(_WorkerRule):
                 continue
             note = _chain_note(chains[qualname])
             for site in info.calls:
-                if site.external is None:
-                    continue
-                message = self._classify(site.external, site.node)
-                if message is not None:
+                if site.external in WALL_CLOCK_CALLS:
                     yield self.finding(
                         info.module,
                         site.node,
-                        f"{_short(info.qualname)} calls {message} on a "
-                        f"worker path ({note})",
+                        f"{_short(info.qualname)} calls wall-clock "
+                        f"function {site.external}() on a worker path "
+                        f"({note})",
                     )
-
-    def _classify(self, external: str, node: ast.Call) -> str | None:
-        raise NotImplementedError
-
-
-class WorkerWallClockRule(_ExternalCallRule):
-    """No wall-clock reads on worker-reachable paths."""
-
-    id = "worker-wall-clock"
-    description = (
-        "worker-reachable code must not read the wall clock (time.time, "
-        "datetime.now, …); results must be a pure function of the inputs"
-    )
-
-    def _classify(self, external: str, node: ast.Call) -> str | None:
-        if external in WALL_CLOCK_CALLS:
-            return f"wall-clock function {external}()"
-        return None
-
-
-class WorkerEntropyRule(_ExternalCallRule):
-    """No OS entropy or unseeded RNGs on worker-reachable paths."""
-
-    id = "worker-entropy"
-    description = (
-        "worker-reachable code must not draw entropy: no os.urandom, "
-        "stdlib random, legacy numpy.random globals, or unseeded "
-        "default_rng()"
-    )
-
-    def _classify(self, external: str, node: ast.Call) -> str | None:
-        if external in ENTROPY_CALLS or external.startswith("secrets."):
-            return f"entropy source {external}()"
-        if external == "random" or external.startswith("random."):
-            return f"stdlib {external}() (hidden global RNG state)"
-        head, _, tail = external.rpartition(".")
-        if head == "numpy.random" and tail in _LEGACY_NUMPY_RANDOM:
-            return f"legacy {external}() (hidden global RNG state)"
-        if tail == "default_rng" or external == "default_rng":
-            seeded = bool(node.args) or any(
-                kw.arg in (None, "seed") for kw in node.keywords
-            )
-            if not seeded:
-                return "default_rng() without a seed"
-        return None
-
-
-class WorkerUnpicklableRule(ProjectRule):
-    """Pool callables must be picklable module-level functions."""
-
-    id = "worker-unpicklable"
-    severity = Severity.ERROR
-    description = (
-        "lambdas and closures cannot be pickled into worker processes; "
-        "submit/map/initializer callables must be module-level functions"
-    )
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            nested = {
-                node.name
-                for node in ast.walk(info.node)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not info.node
-            }
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                candidates: list[tuple[ast.expr, str]] = []
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("submit", "map")
-                    and node.args
-                ):
-                    candidates.append((node.args[0], f".{func.attr}()"))
-                for keyword in node.keywords:
-                    if keyword.arg == "initializer":
-                        candidates.append((keyword.value, "initializer="))
-                for expr, where in candidates:
-                    yield from self._check_callable(
-                        info, expr, where, nested
-                    )
-
-    def _check_callable(
-        self,
-        info: FunctionInfo,
-        expr: ast.expr,
-        where: str,
-        nested: set[str],
-    ) -> Iterator[Finding]:
-        if isinstance(expr, ast.Lambda):
-            yield self.finding(
-                info.module,
-                expr,
-                f"lambda passed to {where} in {_short(info.qualname)} "
-                "cannot be pickled into a worker process; use a "
-                "module-level function",
-            )
-        elif isinstance(expr, ast.Name) and expr.id in nested:
-            yield self.finding(
-                info.module,
-                expr,
-                f"nested function {expr.id!r} passed to {where} in "
-                f"{_short(info.qualname)} closes over local state and "
-                "cannot be pickled; hoist it to module level",
-            )
 
 
 #: ``ast.TryStar`` (except*) exists only on Python >= 3.11.
@@ -758,7 +641,5 @@ DETERMINISM_RULES: tuple[ProjectRule, ...] = (
     WorkerUnorderedIterRule(),
     MergeUnorderedIterRule(),
     WorkerWallClockRule(),
-    WorkerEntropyRule(),
-    WorkerUnpicklableRule(),
     WorkerExceptionSwallowRule(),
 )

@@ -285,12 +285,10 @@ class ProjectRule(Rule):
 def project_rules() -> tuple["ProjectRule", ...]:
     """The default whole-program battery, in documentation order."""
     # Imported lazily: these modules import this module at load time.
-    from repro.checks.arrays import ARRAY_RULES
     from repro.checks.contracts import CONTRACT_RULES
     from repro.checks.determinism import DETERMINISM_RULES
     from repro.checks.intervals import INTERVAL_RULES
     from repro.checks.purity import PURITY_RULES
-    from repro.checks.schema import SCHEMA_RULES
     from repro.checks.sockets import SOCKET_RULES
 
     return (
@@ -298,8 +296,6 @@ def project_rules() -> tuple["ProjectRule", ...]:
         *INTERVAL_RULES,
         *CONTRACT_RULES,
         *PURITY_RULES,
-        *SCHEMA_RULES,
-        *ARRAY_RULES,
         *SOCKET_RULES,
     )
 

@@ -1,11 +1,10 @@
 """Interprocedural forward-dataflow engine for whole-program passes.
 
 The call graph (:mod:`repro.checks.graph`) answers *which code can run
-where*; the passes built on it so far are reachability arguments. The
-contracts PR 6 adds — golden/faulty separation, typed failure taxonomy,
-writer/reader schema agreement — are *flow* properties: they depend on
-which **values** reach which program points, not merely on which
-functions do. This module provides the shared machinery:
+where*; the passes built on it directly are reachability arguments.
+Golden/faulty separation and the typed failure taxonomy are *flow*
+properties instead: they depend on which **values** reach which program
+points, not merely on which functions do. This module provides the shared machinery:
 
 * :class:`ForwardTaintAnalysis` — a summary-based forward taint analysis.
   Facts are sets of atoms drawn from a finite alphabet: string *labels*

@@ -53,7 +53,6 @@ __all__ = [
     "FunctionInfo",
     "ClassInfo",
     "ProjectGraph",
-    "build_graph",
 ]
 
 
@@ -613,12 +612,6 @@ class ProjectGraph:
             frontier = next_frontier
         return chains
 
-    def functions_in_module(self, mod_name: str) -> Iterator[FunctionInfo]:
-        """Every function/method defined in ``mod_name``."""
-        for info in self.functions.values():
-            if (info.module.name or info.module.path.stem) == mod_name:
-                yield info
-
     def to_dict(self) -> dict:
         """JSON-serialisable dump of the graph (``--graph-dump``)."""
         return {
@@ -667,8 +660,3 @@ def _target_names(target: ast.expr) -> Iterator[str]:
     elif isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
             yield from _target_names(element)
-
-
-def build_graph(paths: Sequence[str | Path]) -> ProjectGraph:
-    """Convenience wrapper mirroring :func:`repro.checks.engine.run_checks`."""
-    return ProjectGraph.build(paths)

@@ -14,7 +14,9 @@ correctness rests on (see :mod:`repro.checks.engine` for the framework and
     drift apart silently.
 ``unseeded-random``
     Campaigns must replay bit-identically; every RNG outside
-    :mod:`repro.core.sampling` has to be an explicitly seeded Generator.
+    :mod:`repro.core.sampling` has to be an explicitly seeded Generator,
+    and nothing may draw OS entropy (``os.urandom``, ``secrets``,
+    ``uuid1``/``uuid4``).
 ``export-hygiene``
     ``__all__`` is the public-API contract: it must exist, cover every
     public definition, and name only things that are actually bound.
@@ -22,6 +24,12 @@ correctness rests on (see :mod:`repro.checks.engine` for the framework and
     The identity dataclasses shared across layers (fault sites, signal
     events, integer types) stay frozen, and the fault-site dtype registry
     stays in one-to-one correspondence with ``MAC_SIGNALS``.
+``array-dtype-closure``
+    The vectorised numpy kernels name the width of every array they
+    allocate or accumulate: a bare ``np.arange`` or a bool-mask
+    ``.sum()`` takes numpy's platform-default int (int32 on 32-bit
+    platforms, and on Windows before numpy 2), so a delta tensor that is
+    exact on 64-bit Linux wraps elsewhere.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "UnseededRandomRule",
     "ExportHygieneRule",
     "DataclassContractRule",
+    "ArrayDtypeClosureRule",
     "ALL_RULES",
     "get_rule",
 ]
@@ -173,6 +182,38 @@ _LEGACY_NUMPY_RANDOM = frozenset(
 )
 
 
+#: OS entropy sources outside the ``secrets`` module.
+_OS_ENTROPY = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+
+
+def _import_map(tree: ast.Module) -> dict[str, str]:
+    """Local name -> dotted import target, for every absolute import."""
+    names: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    names[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def _dotted_call(func: ast.expr, imports: dict[str, str]) -> str | None:
+    """Dotted name of a callee rooted at an imported name, else None."""
+    parts: list[str] = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in imports:
+        return None
+    return ".".join([imports[func.id], *reversed(parts)])
+
+
 class UnseededRandomRule(Rule):
     """All randomness must flow through explicitly seeded Generators."""
 
@@ -181,41 +222,35 @@ class UnseededRandomRule(Rule):
     description = (
         "outside repro.core.sampling, RNGs must be explicitly seeded "
         "numpy Generators: no default_rng() without a seed, no legacy "
-        "numpy.random globals, no stdlib random module"
+        "numpy.random globals, no stdlib random module, no OS entropy "
+        "(os.urandom, secrets, uuid1/uuid4)"
     )
     scopes = ("repro",)
     exempt = ("repro.core.sampling",)
 
     @staticmethod
-    def _bindings(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
-        """Names bound to numpy, to stdlib random, and imported from it."""
-        numpy_aliases: set[str] = set()
-        random_aliases: set[str] = set()
-        from_random: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        numpy_aliases.add(alias.asname or "numpy")
-                    elif alias.name == "random":
-                        random_aliases.add(alias.asname or "random")
-            elif isinstance(node, ast.ImportFrom) and node.module == "random":
-                for alias in node.names:
-                    from_random.add(alias.asname or alias.name)
-        return numpy_aliases, random_aliases, from_random
-
-    @staticmethod
-    def _is_numpy_random(node: ast.expr, numpy_aliases: set[str]) -> bool:
-        """Whether ``node`` is the expression ``np.random``."""
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "random"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in numpy_aliases
-        )
+    def _hazard(dotted: str) -> str | None:
+        """Why calling ``dotted`` breaks replay, or None if it does not."""
+        head, _, tail = dotted.rpartition(".")
+        if head == "numpy.random" and tail in _LEGACY_NUMPY_RANDOM:
+            return (
+                f"legacy numpy.random.{tail}() uses hidden global state; "
+                "use a seeded default_rng Generator"
+            )
+        if head == "random":
+            return (
+                f"stdlib random.{tail}() uses global state; use a seeded "
+                "numpy Generator"
+            )
+        if dotted in _OS_ENTROPY or head == "secrets":
+            return (
+                f"{dotted}() draws OS entropy; derive the value from a "
+                "seeded numpy Generator"
+            )
+        return None
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        numpy_aliases, random_aliases, from_random = self._bindings(module.tree)
+        imports = _import_map(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -235,38 +270,10 @@ class UnseededRandomRule(Rule):
                         "pass an explicit seed",
                     )
                 continue
-            # Legacy numpy global RNG: np.random.<fn>(...).
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _LEGACY_NUMPY_RANDOM
-                and self._is_numpy_random(func.value, numpy_aliases)
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"legacy numpy.random.{func.attr}() uses hidden global "
-                    "state; use a seeded default_rng Generator",
-                )
-                continue
-            # Stdlib random module: random.<fn>(...) or an imported name.
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in random_aliases
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"stdlib random.{func.attr}() uses global state; use a "
-                    "seeded numpy Generator",
-                )
-            elif isinstance(func, ast.Name) and func.id in from_random:
-                yield self.finding(
-                    module,
-                    node,
-                    f"stdlib random function {func.id}() uses global state; "
-                    "use a seeded numpy Generator",
-                )
+            dotted = _dotted_call(func, imports)
+            message = self._hazard(dotted) if dotted is not None else None
+            if message is not None:
+                yield self.finding(module, node, message)
 
 
 def _assigned_names(target: ast.expr) -> Iterator[str]:
@@ -520,6 +527,59 @@ class DataclassContractRule(Rule):
             yield from self._check_registry(module)
 
 
+#: Packages whose vectorised numpy kernels carry the MAC/delta datapath.
+_ARRAY_SCOPES = ("repro.engines.analytic", "repro.systolic", "repro.ops")
+
+#: numpy constructors whose default dtype is a platform int or float64.
+_NUMPY_CONSTRUCTORS = frozenset(
+    {"zeros", "ones", "empty", "full", "arange", "eye", "linspace", "array"}
+)
+
+#: Reductions that accumulate into a platform-default int for bool or
+#: narrow-int operands.
+_NUMPY_REDUCTIONS = frozenset({"sum", "cumsum", "prod", "cumprod"})  # repro: ignore[signal-literal]
+
+
+class ArrayDtypeClosureRule(Rule):
+    """Every datapath array names its width."""
+
+    id = "array-dtype-closure"
+    severity = Severity.ERROR
+    description = (
+        "numpy kernels (repro.engines.analytic, repro.systolic, repro.ops) "
+        "must pass dtype= to np.zeros/ones/empty/full/arange/eye/linspace/"
+        "array and to every sum/cumsum/prod/cumprod, so no width falls "
+        "back to a platform default"
+    )
+    scopes = _ARRAY_SCOPES
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        imports = _import_map(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or any(
+                kw.arg == "dtype" for kw in node.keywords
+            ):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in _NUMPY_REDUCTIONS:
+                yield self.finding(
+                    module,
+                    node,
+                    f"{func.attr}() without dtype= accumulates into a "
+                    "platform-default or promoted dtype; pass dtype=",
+                )
+                continue
+            dotted = _dotted_call(func, imports) or ""
+            head, _, name = dotted.rpartition(".")
+            if head == "numpy" and name in _NUMPY_CONSTRUCTORS:
+                yield self.finding(
+                    module,
+                    node,
+                    f"np.{name}() without dtype= takes a platform-default "
+                    "int or float64; pass dtype=",
+                )
+
+
 #: The default battery, in documentation order.
 ALL_RULES: tuple[Rule, ...] = (
     BitAccuracyRule(),
@@ -527,6 +587,7 @@ ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
     ExportHygieneRule(),
     DataclassContractRule(),
+    ArrayDtypeClosureRule(),
 )
 
 

@@ -137,7 +137,9 @@ def os_chain_tile(
         # plain chain of wrapped additions — which collapses by the
         # associativity of modular addition: wrap(... wrap(p_0 + acc)
         # ... + p_T) == wrap(sum(p_t) + acc). No per-cycle loop.
-        return wrap_array(products.sum(axis=1) + acc, lens.acc_dtype)
+        return wrap_array(
+            products.sum(axis=1, dtype=np.int64) + acc, lens.acc_dtype
+        )
     # SUM faults force *between* the additions; the recurrence is
     # irreducible, but one forced step per mesh cycle covers every site
     # (force re-masks its input, so force(wrap(x)) == force(x)).
@@ -207,7 +209,7 @@ def ws_chain_tile(
     csum = np.concatenate(
         [
             np.zeros((mt, 1, len(columns)), dtype=np.int64),
-            np.cumsum(prods, axis=1),
+            np.cumsum(prods, axis=1, dtype=np.int64),
         ],
         axis=1,
     )

@@ -71,7 +71,9 @@ def reference_conv2d(
                         p * stride : p * stride + g.r,
                         q * stride : q * stride + g.s,
                     ]
-                    out[n, k, p, q] = np.sum(window * weights[k])
+                    out[n, k, p, q] = np.sum(
+                        window * weights[k], dtype=np.int64
+                    )
     if bias is not None:
         bias = np.asarray(bias, dtype=np.int64)
         if bias.shape != (g.k,):

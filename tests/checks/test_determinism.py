@@ -4,8 +4,9 @@ from repro.checks.determinism import (
     DETERMINISM_RULES,
     discover_worker_entries,
 )
-from repro.checks.engine import run_project_checks
+from repro.checks.engine import run_checks, run_project_checks
 from repro.checks.graph import ProjectGraph
+from repro.checks.rules import UnseededRandomRule
 
 
 def _findings(tmp_path, rule_id=None):
@@ -233,32 +234,41 @@ class TestWorkerWallClock:
 
 
 class TestWorkerEntropy:
-    def _source(self, call, suffix=""):
+    """Entropy drawn on the worker path is an ``unseeded-random`` finding."""
+
+    def _findings(self, path):
+        return [
+            f
+            for f in run_checks([path], rules=[UnseededRandomRule()])
+            if f.rule == "unseeded-random"
+        ]
+
+    def _source(self, call):
         return f"""
             import os
             import random
             import numpy
 
             def _run_shard(shard):
-                return {call}  {suffix}
+                return {call}
             """
 
-    def test_os_urandom_fires(self, write_module, tmp_path):
-        write_module("repro.core.ent", self._source("os.urandom(4)"))
-        assert len(_findings(tmp_path, "worker-entropy")) == 1
-
-    def test_stdlib_random_fires(self, write_module, tmp_path):
-        write_module("repro.core.ent", self._source("random.random()"))
-        findings = _findings(tmp_path, "worker-entropy")
+    def test_stdlib_random_fires(self, write_module):
+        path = write_module("repro.core.ent", self._source("random.random()"))
+        findings = self._findings(path)
         assert len(findings) == 1
-        assert "hidden global RNG state" in findings[0].message
+        assert "uses global state" in findings[0].message
 
-    def test_legacy_numpy_global_fires(self, write_module, tmp_path):
-        write_module("repro.core.ent", self._source("numpy.random.rand(3)"))
-        assert len(_findings(tmp_path, "worker-entropy")) == 1
+    def test_legacy_numpy_global_fires(self, write_module):
+        path = write_module(
+            "repro.core.ent", self._source("numpy.random.rand(3)")
+        )
+        findings = self._findings(path)
+        assert len(findings) == 1
+        assert "hidden global state" in findings[0].message
 
-    def test_unseeded_default_rng_fires(self, write_module, tmp_path):
-        write_module(
+    def test_unseeded_default_rng_fires(self, write_module):
+        path = write_module(
             "repro.core.ent",
             """
             from numpy.random import default_rng
@@ -267,10 +277,10 @@ class TestWorkerEntropy:
                 return default_rng().integers(0, 10)
             """,
         )
-        assert len(_findings(tmp_path, "worker-entropy")) == 1
+        assert len(self._findings(path)) == 1
 
-    def test_seeded_default_rng_is_clean(self, write_module, tmp_path):
-        write_module(
+    def test_seeded_default_rng_is_clean(self, write_module):
+        path = write_module(
             "repro.core.ent",
             """
             from numpy.random import default_rng
@@ -279,16 +289,7 @@ class TestWorkerEntropy:
                 return default_rng(shard).integers(0, 10)
             """,
         )
-        assert _findings(tmp_path, "worker-entropy") == []
-
-    def test_suppressed(self, write_module, tmp_path):
-        write_module(
-            "repro.core.ent",
-            self._source(
-                "os.urandom(4)", "# repro: ignore[worker-entropy]"
-            ),
-        )
-        assert _findings(tmp_path, "worker-entropy") == []
+        assert self._findings(path) == []
 
 
 class TestSanctionedTelemetry:
@@ -312,27 +313,6 @@ class TestSanctionedTelemetry:
         write_module("repro.obs.fake", self.OBS_HELPER)
         write_module("repro.core.pool", self.WORKER)
         assert _findings(tmp_path, "worker-wall-clock") == []
-
-    def test_obs_module_entropy_is_clean(self, write_module, tmp_path):
-        write_module(
-            "repro.obs.fake",
-            """
-            import os
-
-            def trace_id():
-                return os.urandom(8).hex()
-            """,
-        )
-        write_module(
-            "repro.core.pool",
-            """
-            from repro.obs.fake import trace_id
-
-            def _run_shard(shard):
-                return shard, trace_id()
-            """,
-        )
-        assert _findings(tmp_path, "worker-entropy") == []
 
     def test_results_path_clock_still_fires(self, write_module, tmp_path):
         # The allowlist keys on the *defining* module: the same clock call
@@ -380,61 +360,6 @@ class TestSanctionedTelemetry:
         assert is_sanctioned_telemetry("repro.obs.trace")
         assert not is_sanctioned_telemetry("repro.observability")
         assert not is_sanctioned_telemetry("repro.core.executor")
-
-
-class TestWorkerUnpicklable:
-    def test_lambda_at_submit_fires(self, write_module, tmp_path):
-        write_module(
-            "repro.core.pick",
-            """
-            def launch(pool, shards):
-                return [pool.submit(lambda s: s, shard) for shard in shards]
-            """,
-        )
-        findings = _findings(tmp_path, "worker-unpicklable")
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_nested_def_at_initializer_fires(self, write_module, tmp_path):
-        write_module(
-            "repro.core.pick",
-            """
-            def launch(make_pool, payload):
-                def setup():
-                    return payload
-
-                return make_pool(initializer=setup)
-            """,
-        )
-        findings = _findings(tmp_path, "worker-unpicklable")
-        assert len(findings) == 1
-        assert "hoist it to module level" in findings[0].message
-
-    def test_module_level_function_is_clean(self, write_module, tmp_path):
-        write_module(
-            "repro.core.pick",
-            """
-            def _task(s):
-                return s
-
-            def launch(pool, shards):
-                return [pool.submit(_task, shard) for shard in shards]
-            """,
-        )
-        assert _findings(tmp_path, "worker-unpicklable") == []
-
-    def test_suppressed(self, write_module, tmp_path):
-        write_module(
-            "repro.core.pick",
-            """
-            def launch(pool, shards):
-                return [
-                    pool.submit(lambda s: s, shard)  # repro: ignore[worker-unpicklable]
-                    for shard in shards
-                ]
-            """,
-        )
-        assert _findings(tmp_path, "worker-unpicklable") == []
 
 
 class TestWorkerExceptionSwallow:

@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.checks.graph import ProjectGraph, build_graph
+from repro.checks.graph import ProjectGraph
 
 
 class TestSymbolCollection:
@@ -180,7 +180,7 @@ class TestSerialisation:
                 pass
             """,
         )
-        graph = build_graph([tmp_path])
+        graph = ProjectGraph.build([tmp_path])
         raw = graph.to_dict()
         assert "modules" in raw and "functions" in raw
         assert "repro.core.dump.f" in raw["functions"]

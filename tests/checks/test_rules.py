@@ -6,6 +6,7 @@ import pytest
 from repro.checks import Severity, get_rule, run_checks
 from repro.checks.rules import (
     ALL_RULES,
+    ArrayDtypeClosureRule,
     BitAccuracyRule,
     DataclassContractRule,
     ExportHygieneRule,
@@ -194,6 +195,42 @@ class TestUnseededRandom:
         )
         assert rules_fired(path, UnseededRandomRule()) == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import os\nkey = os.urandom(4)\n",
+            "from os import urandom\nkey = urandom(4)\n",
+            "import secrets\ntoken = secrets.token_hex(8)\n",
+            "from secrets import randbelow\nx = randbelow(7)\n",
+            "import uuid\nrun_id = uuid.uuid4()\n",
+            "from uuid import uuid1\nrun_id = uuid1()\n",
+        ],
+        ids=[
+            "os-urandom",
+            "from-os-urandom",
+            "secrets",
+            "from-secrets",
+            "uuid4",
+            "from-uuid1",
+        ],
+    )
+    def test_entropy_source_fires(self, write_module, source):
+        path = write_module("repro.core.executor", source)
+        assert rules_fired(path, UnseededRandomRule()) == ["unseeded-random"]
+
+    def test_deterministic_uuid_and_os_calls_are_clean(self, write_module):
+        path = write_module(
+            "repro.core.good",
+            """
+            import os
+            import uuid
+
+            key = uuid.uuid5(uuid.NAMESPACE_URL, "campaign")
+            cwd = os.getcwd()
+            """,
+        )
+        assert rules_fired(path, UnseededRandomRule()) == []
+
 
 class TestExportHygiene:
     def test_public_def_missing_from_all_fires(self, write_module):
@@ -374,6 +411,71 @@ class TestDataclassContract:
             """,
         )
         assert rules_fired(path, DataclassContractRule()) == []
+
+
+class TestArrayDtypeClosure:
+    @pytest.mark.parametrize(
+        "module, body",
+        [
+            ("repro.systolic.badkernel", "out = np.arange(n)"),
+            ("repro.systolic.floatzeros", "out = np.zeros((4, 4))"),
+            ("repro.systolic.intlist", "out = np.array([1, 2, 3])"),
+            ("repro.engines.analytic.boolsum", "out = (np.ones(n, dtype=np.int64) != 0).sum(axis=0)"),
+            ("repro.engines.analytic.cumsum", "out = np.cumsum(np.ones(n, dtype=np.int64), axis=0)"),
+        ],
+        ids=["bare-arange", "dtypeless-zeros", "int-list-array",
+             "bool-mask-sum", "np-cumsum"],
+    )
+    def test_missing_dtype_fires(self, write_module, module, body):
+        path = write_module(
+            module,
+            f"""
+            import numpy as np
+
+            def kernel(n: int):
+                {body}
+                return out
+            """,
+        )
+        findings = run_checks([path], rules=[ArrayDtypeClosureRule()])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("array-dtype-closure", 5)
+        ]
+
+    @pytest.mark.parametrize(
+        "module, body",
+        [
+            # Explicit widths on constructors and accumulators.
+            ("repro.systolic.good", "out = np.arange(n, dtype=np.int64)"),
+            ("repro.engines.analytic.good",
+             "out = (np.zeros(n, dtype=np.int64) != 0).sum(axis=0, dtype=np.int64)"),
+            ("repro.ops.good",
+             "out = np.cumsum(np.ones(n, dtype=np.int64), axis=0, dtype=np.int64)"),
+            # asarray passes an existing array's dtype through.
+            ("repro.systolic.passthrough", "out = np.asarray(n)"),
+            # The builtin sum is not a numpy reduction.
+            ("repro.ops.builtin", "out = sum([n, n])"),
+            # Outside the numpy-kernel packages the rule does not apply.
+            ("repro.core.helper", "out = np.zeros(n).sum()"),
+            # A justified suppression silences the finding.
+            ("repro.systolic.hushed",
+             "out = np.arange(n)  # repro: ignore[array-dtype-closure]"),
+        ],
+        ids=["explicit-arange", "explicit-mask-sum", "explicit-cumsum",
+             "asarray", "builtin-sum", "out-of-scope", "suppressed"],
+    )
+    def test_clean(self, write_module, module, body):
+        path = write_module(
+            module,
+            f"""
+            import numpy as np
+
+            def kernel(n: int):
+                {body}
+                return out
+            """,
+        )
+        assert rules_fired(path, ArrayDtypeClosureRule()) == []
 
 
 class TestRegistry:

@@ -1,11 +1,15 @@
 """Dtype closure of the analytic tier, end to end.
 
-The array shape/dtype pass (:mod:`repro.checks.arrays`) proves
-statically that no platform-default integer enters the vectorised
-kernels; this module is the dynamic half of that contract: the delta
-tensors the analytic engine actually materialises — kernel-level chain
-states, im2col gather indices' output, and every campaign experiment's
-deviation — must be ``int64`` regardless of host platform defaults.
+The delta tensors the analytic engine actually materialises —
+kernel-level chain states, im2col gather indices' output, and every
+campaign experiment's deviation — must be ``int64``. These tests check
+that on the host they run on; they cannot see numpy's platform-default
+int, which is int64 on 64-bit Linux but int32 on 32-bit platforms (and
+on Windows before numpy 2). The static half of the contract is the
+``array-dtype-closure`` lint rule
+(:class:`repro.checks.rules.ArrayDtypeClosureRule`): every constructor
+and reduction in the vectorised kernels names its dtype, so no width
+falls back to that default on any host.
 """
 
 from __future__ import annotations
