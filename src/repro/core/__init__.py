@@ -34,13 +34,7 @@ from repro.core.executor import (
     SerialExecutor,
     shard_sites,
 )
-from repro.core.fabric import (
-    Coordinator,
-    DistributedExecutor,
-    Lease,
-    LeaseTable,
-    WorkerAgent,
-)
+from repro.core.fabric import Coordinator, DistributedExecutor, WorkerAgent
 from repro.core.resilience import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -48,7 +42,9 @@ from repro.core.resilience import (
     FailureKind,
     FailureLadder,
     FailureRecord,
+    Lease,
     LeaseExpired,
+    LeaseTable,
     OnError,
     PoisonSite,
     PoolBroken,

@@ -32,7 +32,10 @@ details in ``docs/resilience.md``):
 
 * a **watchdog** enforces a per-shard deadline (``shard_timeout``); a
   hung worker cannot be cancelled, so the pool is killed, reconstituted,
-  and innocent in-flight shards are requeued without penalty;
+  and innocent in-flight shards are requeued without penalty. Each
+  in-flight shard is a lease, never renewed, in the
+  :class:`~repro.core.resilience.LeaseTable` the fabric coordinator
+  also uses, released only once its records are fsynced;
 * failures are **retried** under a deterministic, jitter-free
   exponential backoff (:class:`~repro.core.resilience.RetryPolicy`);
 * a shard that keeps failing is **bisected** until the poison site is
@@ -74,7 +77,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Protocol, Sequence
 
@@ -89,6 +91,7 @@ from repro.core.resilience import (
     FailureKind,
     FailureLadder,
     FailureRecord,
+    LeaseTable,
     OnError,
     RetryPolicy,
     ShardTask,
@@ -482,11 +485,10 @@ def _validate_shard(payload: object, sites: list[tuple[int, int]]) -> str | None
     the wire) can still be wrong (a worker bug, a chaos ``corrupt``
     action), and an unvalidated bad record would silently poison the
     canonical merge. The payload is a ``(records, trace events)`` pair,
-    one :func:`~repro.core.serialize.experiment_record` (or decoded
-    :class:`ExperimentResult`) per site; this checks that each answers
-    its site, not that its body decodes. The events list is only
-    shape-checked — a mangled event can at worst mangle a trace file,
-    never a result.
+    one :func:`~repro.core.serialize.experiment_record` per site; this
+    checks that each answers its site, not that its body decodes. The
+    events list is only shape-checked — a mangled event can at worst
+    mangle a trace file, never a result.
     """
     if (
         not isinstance(payload, tuple)
@@ -523,9 +525,7 @@ def _validate_shard(payload: object, sites: list[tuple[int, int]]) -> str | None
 
 def _claimed_site(record: object) -> tuple[object, object] | None:
     """The ``(row, col)`` a shard entry answers, or ``None`` when it is
-    neither an experiment record nor an experiment result."""
-    if isinstance(record, ExperimentResult):
-        return record.site.row, record.site.col
+    not an experiment record."""
     site = record.get("site") if isinstance(record, dict) else None
     if isinstance(site, dict) and "row" in site and "col" in site:
         return site["row"], site["col"]
@@ -537,14 +537,8 @@ def _claimed_site(record: object) -> tuple[object, object] | None:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _InFlight:
-    """Bookkeeping for one submitted future."""
-
-    task: ShardTask
-    deadline: float | None = None
-    #: Monotonic submission instant, for the shard-latency histogram.
-    submitted_at: float = 0.0
+#: The holder of every lease in the pool dispatcher's table.
+_POOL = 0
 
 
 class _ShardIngest:
@@ -552,12 +546,18 @@ class _ShardIngest:
 
     Each owns one dispatch of ``pending``: a FIFO of shards cut at the
     campaign's :attr:`~repro.core.campaign.Campaign.min_shard_sites`
-    granularity, the shared :class:`FailureLadder`, and the completed
-    map. Every shard result enters through :meth:`_ingest` — validate,
-    decode, store — whether it came back from a pool child or off the
-    wire, and the checkpoint appends the records with their cells in
-    the list form.
+    granularity, the shared :class:`FailureLadder`, the completed map,
+    and the :class:`LeaseTable` of in-flight attempts, whose leases last
+    ``lease_seconds`` (``None``: no deadline). Every shard result enters
+    through :meth:`_ingest` — validate, decode, store, checkpoint, then
+    release the lease — whether it came back from a pool child or off
+    the wire, and the checkpoint appends the records with their cells
+    in the list form.
     """
+
+    #: Upper bound on one scheduler wait, so pending signals and expired
+    #: leases are noticed promptly even while shards are quiet.
+    TICK_SECONDS = 0.25
 
     def __init__(
         self,
@@ -568,6 +568,7 @@ class _ShardIngest:
         geometry: ConvGeometry | None,
         pending: list[tuple[int, int]],
         stream: IO[str] | None,
+        lease_seconds: float | None,
     ) -> None:
         self.executor = executor
         self.campaign = campaign
@@ -585,6 +586,8 @@ class _ShardIngest:
             ShardTask(sites=shard) for shard in shards
         )
         self.completed: dict[tuple[int, int], ExperimentResult] = {}
+        self.leases = LeaseTable(lease_seconds)
+        self._signum: int | None = None
         self.ladder = FailureLadder(
             retry=executor.retry,
             on_error=executor.on_error,
@@ -606,6 +609,32 @@ class _ShardIngest:
     ) -> None:
         self.ladder.fail(task, kind, error)
 
+    def _pop_ready(
+        self, now: float, suspects_only: bool = False
+    ) -> ShardTask | None:
+        """Take the first queued task past its backoff gate."""
+        for index, task in enumerate(self.queue):
+            if task.ready_at > now:
+                continue
+            if suspects_only and not task.suspect:
+                continue
+            del self.queue[index]
+            return task
+        return None
+
+    def _interrupted(self, signum: int) -> CampaignInterrupted:
+        """The resumable-shutdown error: queued and leased sites remain."""
+        remaining = sum(
+            len(task.sites)
+            for task in (*self.queue, *self.leases.outstanding())
+        )
+        return CampaignInterrupted(
+            signum=signum,
+            checkpoint=self.executor.checkpoint,
+            completed=len(self.completed),
+            remaining=remaining,
+        )
+
     def _hand_over(self) -> tuple[
         dict[tuple[int, int], ExperimentResult],
         dict[tuple[int, int], FailureRecord],
@@ -622,22 +651,27 @@ class _ShardIngest:
 
     def _ingest(
         self,
-        task: ShardTask,
+        shard_id: object,
         payload: object,
-        started_at: float,
         undecodable: FailureKind = FailureKind.CORRUPT_RESULT,
     ) -> None:
-        """Validate, decode and store one shard attempt's ``(records,
-        events)`` payload, or fail the attempt through the ladder.
+        """Validate, decode and store the ``(records, events)`` payload
+        of the attempt leased as ``shard_id``, or fail the attempt
+        through the ladder.
 
-        A payload that does not answer ``task.sites`` is a corrupt
+        A payload that does not answer the task's sites is a corrupt
         result; records that validate but do not decode fail as
         ``undecodable`` (a corrupt result from a pool child, a protocol
-        error off the wire). ``started_at`` is the attempt's monotonic
-        start, for the shard-latency histogram.
+        error off the wire). The lease is released only once the
+        records are fsynced into the checkpoint, so a failed write
+        leaves the attempt in flight and raises.
         """
+        lease = self.leases.holder(shard_id)
+        assert lease is not None
+        task = lease.task
         problem = _validate_shard(payload, task.sites)
         if problem is not None:
+            self.leases.release(shard_id)
             self._fail_shard(task, FailureKind.CORRUPT_RESULT, problem)
             return
         records, events = payload
@@ -650,6 +684,7 @@ class _ShardIngest:
                 for record in records
             ]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
+            self.leases.release(shard_id)
             self._fail_shard(
                 task, undecodable, f"undecodable result records: {exc!r}"
             )
@@ -657,7 +692,7 @@ class _ShardIngest:
         self.obs.metrics.histogram(
             "repro_shard_seconds",
             "Wall-clock latency of successful shard attempts.",
-        ).observe(time.monotonic() - started_at)
+        ).observe(time.monotonic() - lease.granted_at)
         self.obs.recorder.ingest(events)
         for experiment in experiments:
             key = (experiment.site.row, experiment.site.col)
@@ -673,22 +708,20 @@ class _ShardIngest:
             self.executor._record_batch(
                 self.stream, [unpack_cells(record, ndim) for record in records]
             )
+        self.leases.release(shard_id)
 
 
 class _ShardDispatcher(_ShardIngest):
     """The failure-aware scheduling loop of :class:`ParallelExecutor`.
 
-    Owns the process pool, the pending-task queue, and the in-flight
-    table for one ``execute()`` call; implements retry/backoff, the
-    watchdog, pool reconstitution, suspect isolation, bisection,
+    Owns the process pool and the pending-task queue for one
+    ``execute()`` call, and leases each submitted future to the pool
+    until ``shard_timeout`` (never renewed); implements retry/backoff,
+    the watchdog, pool reconstitution, suspect isolation, bisection,
     quarantine, and graceful shutdown. Scheduling is deterministic up to
     OS timing: the queue is FIFO, backoff delays come from the
     jitter-free :class:`RetryPolicy`, and nothing consults randomness.
     """
-
-    #: Upper bound on one scheduler wait, so pending signals and expired
-    #: deadlines are noticed promptly even while futures are quiet.
-    TICK_SECONDS = 0.25
 
     def __init__(
         self,
@@ -701,15 +734,14 @@ class _ShardDispatcher(_ShardIngest):
         stream: IO[str] | None,
     ) -> None:
         super().__init__(
-            executor, campaign, golden, plan, geometry, pending, stream
+            executor, campaign, golden, plan, geometry, pending, stream,
+            lease_seconds=executor.shard_timeout,
         )
         self.pool = WorkerPool(executor.jobs)
         self.pool.adopt(
             campaign, golden, plan, geometry, executor.chaos,
             self.obs.recorder.armed,
         )
-        self.in_flight: dict[Future, _InFlight] = {}
-        self._signum: int | None = None
 
     # -- signal handling -----------------------------------------------
     @contextmanager
@@ -748,7 +780,7 @@ class _ShardDispatcher(_ShardIngest):
         with self._signal_guard():
             self.pool.start()
             try:
-                while self.queue or self.in_flight:
+                while self.queue or self.leases:
                     interrupt = self.executor.interrupt
                     if self._signum is not None or (
                         interrupt is not None and interrupt.is_set()
@@ -763,8 +795,9 @@ class _ShardDispatcher(_ShardIngest):
         return self._hand_over()
 
     def _suspect_mode(self) -> bool:
-        return any(task.suspect for task in self.queue) or any(
-            entry.task.suspect for entry in self.in_flight.values()
+        return any(
+            task.suspect
+            for task in (*self.queue, *self.leases.outstanding())
         )
 
     def _submit_ready(self) -> None:
@@ -773,7 +806,7 @@ class _ShardDispatcher(_ShardIngest):
         # Suspects run strictly alone: if their shard breaks the pool
         # again, the attribution is unambiguous.
         limit = 1 if suspect_mode else self.executor.jobs
-        while self.queue and len(self.in_flight) < limit:
+        while self.queue and len(self.leases) < limit:
             task = self._pop_ready(now, suspect_mode)
             if task is None:
                 return
@@ -785,33 +818,16 @@ class _ShardDispatcher(_ShardIngest):
                 self.queue.appendleft(task)
                 self._on_pool_broken([])
                 return
-            timeout = self.executor.shard_timeout
-            self.in_flight[future] = _InFlight(
-                task=task,
-                deadline=None if timeout is None else now + timeout,
-                submitted_at=time.monotonic(),
-            )
-
-    def _pop_ready(
-        self, now: float, suspect_mode: bool
-    ) -> ShardTask | None:
-        for index, task in enumerate(self.queue):
-            if task.ready_at > now:
-                continue
-            if suspect_mode and not task.suspect:
-                continue
-            del self.queue[index]
-            return task
-        return None
+            self.leases.grant(future, _POOL, task, time.monotonic())
 
     def _wait_tick(self) -> set[Future]:
         """Block until progress is possible; returns finished futures."""
         now = time.monotonic()
         tick = self.TICK_SECONDS
-        for entry in self.in_flight.values():
-            if entry.deadline is not None:
-                tick = min(tick, max(0.0, entry.deadline - now))
-        if not self.in_flight:
+        for lease in self.leases:
+            if lease.deadline is not None:
+                tick = min(tick, max(0.0, lease.deadline - now))
+        if not self.leases:
             # Everything is backoff-gated; sleep until the nearest gate.
             gates = [
                 task.ready_at - now
@@ -821,7 +837,7 @@ class _ShardDispatcher(_ShardIngest):
             time.sleep(min(tick, min(gates) if gates else 0.01))
             return set()
         done, _ = wait(
-            set(self.in_flight), timeout=tick, return_when=FIRST_COMPLETED
+            self.leases.held_by(_POOL), tick, return_when=FIRST_COMPLETED
         )
         return done
 
@@ -829,19 +845,19 @@ class _ShardDispatcher(_ShardIngest):
     def _reap(self, done: set[Future]) -> None:
         broken: list[ShardTask] = []
         for future in done:
-            entry = self.in_flight.pop(future, None)
-            if entry is None:
+            if self.leases.holder(future) is None:
                 continue
-            task = entry.task
             try:
                 payload = future.result()
             except BrokenProcessPool:
-                broken.append(task)
+                broken.append(self.leases.release(future))
                 continue
             except Exception as exc:  # the worker raised for this shard
-                self._fail_shard(task, FailureKind.CRASH, repr(exc))
+                self._fail_shard(
+                    self.leases.release(future), FailureKind.CRASH, repr(exc)
+                )
                 continue
-            self._ingest(task, payload, entry.submitted_at)
+            self._ingest(future, payload)
         if broken:
             self._on_pool_broken(broken)
 
@@ -852,8 +868,9 @@ class _ShardDispatcher(_ShardIngest):
         attributed; all in-flight tasks become suspects and will be
         retried one at a time against a fresh pool.
         """
-        victims = broken + [e.task for e in self.in_flight.values()]
-        self.in_flight.clear()
+        victims = broken + [
+            self.leases.release(f) for f in self.leases.held_by(_POOL)
+        ]
         self.pool.restart()
         for task in victims:
             task.suspect = True
@@ -865,26 +882,21 @@ class _ShardDispatcher(_ShardIngest):
             )
 
     def _check_deadlines(self) -> None:
-        if self.executor.shard_timeout is None or not self.in_flight:
-            return
-        now = time.monotonic()
         expired = {
             future
-            for future, entry in self.in_flight.items()
-            if entry.deadline is not None
-            and now >= entry.deadline
-            and not future.done()
+            for future in self.leases.expired(time.monotonic())
+            if not future.done()
         }
         if not expired:
             return
         # Harvest shards that finished before the axe falls: done futures
         # keep their results even after the pool is killed.
-        self._reap({f for f in self.in_flight if f.done()})
+        self._reap({f for f in self.leases.held_by(_POOL) if f.done()})
         timed_out: list[ShardTask] = []
         innocent: list[ShardTask] = []
-        for future, entry in self.in_flight.items():
-            (timed_out if future in expired else innocent).append(entry.task)
-        self.in_flight.clear()
+        for future in self.leases.held_by(_POOL):
+            task = self.leases.release(future)
+            (timed_out if future in expired else innocent).append(task)
         # A hung worker cannot be cancelled — only killed with its pool.
         self.pool.restart()
         for task in innocent:  # requeue in-flight bystanders, no penalty
@@ -902,21 +914,12 @@ class _ShardDispatcher(_ShardIngest):
         drain, fsync, exit resumable. The interrupt-event path reports a
         synthetic ``SIGINT`` — same contract, different messenger."""
         try:
-            self._reap({f for f in self.in_flight if f.done()})
+            self._reap({f for f in self.leases.held_by(_POOL) if f.done()})
         except CampaignExecutionError:
             pass  # shutting down regardless; the drain is best-effort
-        remaining = sum(len(task.sites) for task in self.queue) + sum(
-            len(entry.task.sites) for entry in self.in_flight.values()
-        )
-        signum = (
+        raise self._interrupted(
             self._signum if self._signum is not None
             else int(_signal_module.SIGINT)
-        )
-        raise CampaignInterrupted(
-            signum=signum,
-            checkpoint=self.executor.checkpoint,
-            completed=len(self.completed),
-            remaining=remaining,
         )
 
 

@@ -9,13 +9,14 @@ A coordinator/worker fabric built on the standard library alone
   workers instead of forking a local pool; same checkpoint, resume,
   retry/bisection/quarantine, and bit-identical merge semantics as
   :class:`~repro.core.executor.ParallelExecutor`.
-* :class:`Coordinator` — the asyncio server owning the shard queue and
-  the lease table (:mod:`repro.core.fabric.coordinator`).
+* :class:`Coordinator` — the asyncio server owning the shard queue
+  (:mod:`repro.core.fabric.coordinator`). It tracks in-flight shards in
+  the same :class:`~repro.core.resilience.LeaseTable` the pool
+  dispatcher uses; here each lease is held by a worker and renewed by
+  its heartbeats, which is the fabric's entire failure detector.
 * :class:`WorkerAgent` — the elastic worker process behind
   ``repro-fi worker --connect HOST:PORT``
   (:mod:`repro.core.fabric.worker`).
-* :class:`Lease` / :class:`LeaseTable` — heartbeat-renewed shard claims;
-  the fabric's entire failure detector (:mod:`repro.core.fabric.lease`).
 
 See ``docs/distributed.md`` for the protocol frames, the lease state
 machine, and the failure → recovery matrix.
@@ -24,13 +25,10 @@ machine, and the failure → recovery matrix.
 from __future__ import annotations
 
 from repro.core.fabric.coordinator import Coordinator, DistributedExecutor
-from repro.core.fabric.lease import Lease, LeaseTable
 from repro.core.fabric.worker import WorkerAgent
 
 __all__ = [
     "Coordinator",
     "DistributedExecutor",
-    "Lease",
-    "LeaseTable",
     "WorkerAgent",
 ]

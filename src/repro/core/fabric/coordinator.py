@@ -7,14 +7,18 @@ golden cache, checkpoint open/restore/close, observability spans,
 progress line, and canonical merge are shared verbatim with the
 single-machine tier. Inside ``_dispatch`` an asyncio
 :class:`Coordinator` listens for :class:`~repro.core.fabric.worker.
-WorkerAgent` connections, hands out shard **leases**
-(:mod:`repro.core.fabric.lease`), ingests result frames straight into
-the same JSONL checkpoint, and feeds every failure — worker lost, lease
-expired, protocol violation, or a typed error reported by the agent —
-through the exact :class:`~repro.core.resilience.FailureLadder` the
-in-process dispatcher uses. Retry budgets, deterministic backoff,
-poison-site bisection, and quarantine therefore behave identically
-across the wire; only the transport differs.
+WorkerAgent` connections, hands out shard **leases** in the same
+:class:`~repro.core.resilience.LeaseTable` the in-process dispatcher
+keeps its futures in (here each lease is held by a worker and renewed
+by its heartbeats), ingests result frames straight into the same JSONL
+checkpoint, fsynced before the lease is released, and feeds every
+failure — worker lost, lease expired, protocol violation, or a typed
+error reported by the agent — through the exact
+:class:`~repro.core.resilience.FailureLadder` the in-process dispatcher
+uses. Retry budgets, deterministic backoff, poison-site bisection, and
+quarantine therefore behave identically across the wire; only the
+transport differs. A checkpoint write that fails ends the campaign with
+the write's :class:`OSError`, as on the pool tier.
 
 Failure matrix (recovery is always requeue-through-the-ladder):
 
@@ -37,7 +41,7 @@ import asyncio
 import signal as _signal_module
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Any, Callable
 
 import numpy as np
@@ -45,7 +49,6 @@ import numpy as np
 from repro.core.campaign import Campaign, ExperimentResult
 from repro.core.chaos import ChaosSpec
 from repro.core.executor import ParallelExecutor, _ShardIngest
-from repro.core.fabric.lease import LeaseTable
 from repro.core.fabric.protocol import (
     MSG_BYE,
     MSG_DRAIN,
@@ -60,9 +63,9 @@ from repro.core.fabric.protocol import (
 )
 from repro.core.resilience import (
     CampaignExecutionError,
-    CampaignInterrupted,
     FailureKind,
     FailureRecord,
+    Lease,
     OnError,
     ProtocolError,
     RetryPolicy,
@@ -79,13 +82,12 @@ __all__ = ["Coordinator", "DistributedExecutor"]
 
 @dataclass
 class _WorkerConn:
-    """One connected worker: its transport and outstanding leases."""
+    """One connected worker: its transport and announced capacity."""
 
     worker_id: int
     writer: asyncio.StreamWriter
     lock: asyncio.Lock
     jobs: int
-    shards: set[int] = field(default_factory=set)
     lost: bool = False
 
 
@@ -97,11 +99,9 @@ class Coordinator(_ShardIngest):
     scheduling is as deterministic as the in-process dispatcher's (up to
     network timing). The JSONL checkpoint stream remains the single
     source of truth — results are fsynced into it the moment they are
-    accepted, before the lease is released.
+    accepted, before the lease is released; a write that fails ends the
+    campaign with its :class:`OSError`.
     """
-
-    #: Upper bound on one ticker sleep (lease expiry latency).
-    TICK_SECONDS = 0.25
 
     def __init__(
         self,
@@ -114,9 +114,9 @@ class Coordinator(_ShardIngest):
         stream: IO[str] | None,
     ) -> None:
         super().__init__(
-            executor, campaign, golden, plan, geometry, pending, stream
+            executor, campaign, golden, plan, geometry, pending, stream,
+            lease_seconds=executor.lease_seconds,
         )
-        self.leases = LeaseTable(executor.lease_seconds)
         self.workers: dict[int, _WorkerConn] = {}
         self.setup = fabric_setup_record(
             campaign,
@@ -131,8 +131,7 @@ class Coordinator(_ShardIngest):
         self._next_worker_id = 0
         self._next_shard_id = 0
         self._ever_joined = False
-        self._signum: int | None = None
-        self._abort: CampaignExecutionError | None = None
+        self._abort: Exception | None = None
         self._done: asyncio.Event | None = None
         self._server: asyncio.AbstractServer | None = None
         self._handler_tasks: set[asyncio.Task] = set()
@@ -188,15 +187,7 @@ class Coordinator(_ShardIngest):
         if self._abort is not None:
             raise self._abort
         if self._signum is not None:
-            remaining = sum(len(task.sites) for task in self.queue) + sum(
-                len(task.sites) for task in self.leases.outstanding()
-            )
-            raise CampaignInterrupted(
-                signum=self._signum,
-                checkpoint=self.executor.checkpoint,
-                completed=len(self.completed),
-                remaining=remaining,
-            )
+            raise self._interrupted(self._signum)
         return self._hand_over()
 
     def _finish(self) -> None:
@@ -213,13 +204,16 @@ class Coordinator(_ShardIngest):
         self._signum = signum
         self._finish()
 
-    def _fail(self, exc: CampaignExecutionError) -> None:
+    def _fail(self, exc: Exception) -> None:
         if self._abort is None:
             self._abort = exc
         self._finish()
 
     def _check_done(self) -> None:
-        if not self.queue and not len(self.leases):
+        """Publish the lease gauge; end the session once nothing is
+        queued or leased."""
+        self._gauge_leases()
+        if not self.queue and not self.leases:
             self._finish()
 
     async def _drain_workers(self) -> None:
@@ -325,12 +319,8 @@ class Coordinator(_ShardIngest):
                         lock=worker.lock,
                     )
                     await self._assign(worker)
-                elif kind == MSG_RESULT:
-                    self._ingest_result(worker, frame)
-                    self._check_done()
-                    await self._assign(worker)
-                elif kind == MSG_SHARD_ERROR:
-                    self._ingest_error(worker, frame)
+                elif kind in (MSG_RESULT, MSG_SHARD_ERROR):
+                    self._ingest_frame(worker, frame)
                     self._check_done()
                     await self._assign(worker)
                 elif kind == MSG_BYE:
@@ -400,17 +390,12 @@ class Coordinator(_ShardIngest):
         ).inc()
         self._gauge_workers()
         for shard_id in self.leases.held_by(worker.worker_id):
-            forfeited = self.leases.release(shard_id)
-            worker.shards.discard(shard_id)
-            if forfeited is None:
-                continue
             self._count_requeue()
             self._fail_shard(
-                forfeited,
+                self.leases.release(shard_id),
                 FailureKind.WORKER_LOST,
                 f"worker {worker.worker_id} lost: {reason}",
             )
-        self._gauge_leases()
         self._close_writer(worker.writer)
 
     def _release_worker(self, worker: _WorkerConn) -> None:
@@ -418,13 +403,9 @@ class Coordinator(_ShardIngest):
         self.workers.pop(worker.worker_id, None)
         worker.lost = True
         for shard_id in self.leases.held_by(worker.worker_id):
-            task = self.leases.release(shard_id)
-            worker.shards.discard(shard_id)
-            if task is not None:
-                self._count_requeue()
-                self.queue.appendleft(task)
+            self._count_requeue()
+            self.queue.appendleft(self.leases.release(shard_id))
         self._gauge_workers()
-        self._gauge_leases()
 
     def _gauge_workers(self) -> None:
         self.obs.metrics.gauge(
@@ -445,28 +426,19 @@ class Coordinator(_ShardIngest):
         ).inc()
 
     # -- scheduling ----------------------------------------------------
-    def _pop_ready(self, now: float) -> ShardTask | None:
-        for index, task in enumerate(self.queue):
-            if task.ready_at > now:
-                continue
-            del self.queue[index]
-            return task
-        return None
-
     async def _assign(self, worker: _WorkerConn) -> None:
         """Grant leases to ``worker`` up to its announced capacity."""
         assert self._done is not None
         if worker.lost or self._done.is_set():
             return
         now = time.monotonic()
-        while len(worker.shards) < worker.jobs:
+        while len(self.leases.held_by(worker.worker_id)) < worker.jobs:
             task = self._pop_ready(now)
             if task is None:
                 return
             self._next_shard_id += 1
             shard_id = self._next_shard_id
             self.leases.grant(shard_id, worker.worker_id, task, now)
-            worker.shards.add(shard_id)
             self._gauge_leases()
             try:
                 await send_frame(
@@ -492,15 +464,16 @@ class Coordinator(_ShardIngest):
         self, task: ShardTask, kind: FailureKind, error: str
     ) -> None:
         """Feed one exhausted attempt through the shared ladder; under
-        ABORT the raised taxonomy error ends the campaign."""
+        ABORT the raised taxonomy error ends the campaign, and so does a
+        quarantine record the checkpoint failed to write."""
         try:
             self.ladder.fail(task, kind, error)
-        except CampaignExecutionError as exc:
+        except (CampaignExecutionError, OSError) as exc:
             self._fail(exc)
 
     # -- frame ingestion -----------------------------------------------
-    def _stale(self, worker: _WorkerConn, shard_id: Any) -> ShardTask | None:
-        """The task behind a frame's lease, or ``None`` for stale frames.
+    def _stale(self, worker: _WorkerConn, shard_id: Any) -> Lease | None:
+        """The sender's lease a frame answers, or ``None`` for stale frames.
 
         A frame is stale when its lease expired, was reassigned, or was
         already released by an earlier copy (duplicate replay). Dropping
@@ -516,41 +489,29 @@ class Coordinator(_ShardIngest):
                 "no longer held by the sender.",
             ).inc()
             return None
-        return self.leases.task(shard_id)
+        return lease
 
-    def _ingest_result(self, worker: _WorkerConn, frame: dict) -> None:
+    def _ingest_frame(self, worker: _WorkerConn, frame: dict) -> None:
+        """Take in a ``result`` or ``shard-error`` frame for a lease."""
         shard_id = frame.get("shard_id")
-        task = self._stale(worker, shard_id)
-        if task is None:
+        if self._stale(worker, shard_id) is None:
             return
-        lease = self.leases.holder(shard_id)
-        assert lease is not None
-        self._release(worker, shard_id)
-        self._ingest(
-            task,
-            (frame.get("records"), frame.get("events") or []),
-            lease.granted_at,
-            undecodable=FailureKind.PROTOCOL_ERROR,
-        )
-
-    def _ingest_error(self, worker: _WorkerConn, frame: dict) -> None:
-        shard_id = frame.get("shard_id")
-        task = self._stale(worker, shard_id)
-        if task is None:
+        if frame["type"] == MSG_SHARD_ERROR:
+            try:
+                kind = FailureKind(frame.get("kind"))
+            except ValueError:
+                kind = FailureKind.CRASH
+            error = str(frame.get("error", "unspecified worker failure"))
+            self._fail_shard(self.leases.release(shard_id), kind, error)
             return
-        self._release(worker, shard_id)
         try:
-            kind = FailureKind(frame.get("kind"))
-        except ValueError:
-            kind = FailureKind.CRASH
-        self._fail_shard(
-            task, kind, str(frame.get("error", "unspecified worker failure"))
-        )
-
-    def _release(self, worker: _WorkerConn, shard_id: int) -> None:
-        self.leases.release(shard_id)
-        worker.shards.discard(shard_id)
-        self._gauge_leases()
+            self._ingest(
+                shard_id,
+                (frame.get("records"), frame.get("events") or []),
+                undecodable=FailureKind.PROTOCOL_ERROR,
+            )
+        except OSError as exc:  # the checkpoint write, not the transport
+            self._fail(exc)
 
     # -- background ticker ---------------------------------------------
     async def _ticker(self) -> None:
@@ -571,16 +532,10 @@ class Coordinator(_ShardIngest):
             now = time.monotonic()
             for shard_id in self.leases.expired(now):
                 lease = self.leases.holder(shard_id)
-                forfeited = self.leases.release(shard_id)
-                if lease is None or forfeited is None:
-                    continue
-                holder = self.workers.get(lease.worker_id)
-                if holder is not None:
-                    holder.shards.discard(shard_id)
-                self._gauge_leases()
+                self.leases.release(shard_id)
                 self._count_requeue()
                 self._fail_shard(
-                    forfeited,
+                    lease.task,
                     FailureKind.LEASE_EXPIRED,
                     f"worker {lease.worker_id} went silent past the "
                     f"{self.executor.lease_seconds:g}s lease deadline",

@@ -116,6 +116,10 @@ class WorkerAgent:
         self.io_timeout = io_timeout
         self.stay = stay
         self._pool: WorkerPool | None = None
+        #: Pool restarts so far, and those the watchdog caused: a shard
+        #: whose pool the watchdog killed under it reruns for free.
+        self._restarts = 0
+        self._watchdog_restarts: set[int] = set()
         self._chaos = None
         self._shard_timeout: float | None = None
         #: Monotonic instant until which heartbeat renewal is suppressed
@@ -404,10 +408,14 @@ class WorkerAgent:
         watchdog expiry is a ``timeout`` (for both the agent restarts
         its pool, like the executor does), and a payload that fails
         validation is ``corrupt-result``; a sound payload is forwarded
-        untouched. The coordinator feeds whichever kind comes back into
-        the shared failure ladder.
+        untouched. A sibling shard the watchdog's restart killed is an
+        innocent bystander, even if its own deadline passes before the
+        broken pool reports in: it reruns on the new pool, unpenalized,
+        as the executor requeues it. The coordinator feeds whichever
+        kind comes back into the shared failure ladder.
         """
         assert self._pool is not None
+        generation = self._restarts
         try:
             future = self._pool.submit(sites)
             awaitable = asyncio.wrap_future(future)
@@ -418,7 +426,10 @@ class WorkerAgent:
             else:
                 payload = await awaitable
         except (asyncio.TimeoutError, TimeoutError):
-            self._pool.restart()
+            if generation in self._watchdog_restarts:
+                # A sibling's watchdog killed this pool first: a bystander.
+                return await self._run_in_pool(sites)
+            self._restart_pool(generation, watchdog=True)
             return (
                 None,
                 f"shard exceeded the {self._shard_timeout:g}s watchdog "
@@ -426,7 +437,9 @@ class WorkerAgent:
                 FailureKind.TIMEOUT.value,
             )
         except BrokenProcessPool:
-            self._pool.restart()
+            if generation in self._watchdog_restarts:
+                return await self._run_in_pool(sites)
+            self._restart_pool(generation)
             return (
                 None,
                 "a worker process died abruptly; the agent reconstituted "
@@ -439,3 +452,14 @@ class WorkerAgent:
         if problem is not None:
             return None, problem, FailureKind.CORRUPT_RESULT.value
         return payload, None, None
+
+    def _restart_pool(self, generation: int, watchdog: bool = False) -> None:
+        """Restart the pool that ``generation`` ran on, unless a sibling
+        shard already did: every shard on a dead pool sees it die, and
+        only the first may restart it."""
+        if generation != self._restarts:
+            return
+        if watchdog:
+            self._watchdog_restarts.add(generation)
+        self._restarts += 1
+        self._pool.restart()

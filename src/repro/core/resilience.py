@@ -21,7 +21,9 @@ executor (:mod:`repro.core.executor`) uses to survive them:
   degraded campaign is still a canonical, resumable artefact;
 * :class:`CampaignInterrupted` — the graceful-shutdown signal
   (SIGINT/SIGTERM) outcome: the checkpoint is drained and fsynced before
-  this is raised, so the campaign is resumable exactly where it stopped.
+  this is raised, so the campaign is resumable exactly where it stopped;
+* :class:`LeaseTable` — the one ledger of in-flight shard attempts,
+  shared by the pool dispatcher and the fabric coordinator.
 
 The executor's recovery protocol (suspect isolation after a pool break,
 shard bisection to isolate a poison site) is documented in
@@ -38,8 +40,9 @@ import enum
 import signal as _signal
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Hashable, Iterator
 
 __all__ = [
     "CampaignExecutionError",
@@ -57,6 +60,8 @@ __all__ = [
     "RetryPolicy",
     "FailureRecord",
     "ShardTask",
+    "Lease",
+    "LeaseTable",
     "FailureLadder",
     "record_failure_metrics",
 ]
@@ -278,6 +283,123 @@ class ShardTask:
     #: True while the task is a pool-collapse suspect: it must run alone
     #: so a repeat collapse attributes exactly.
     suspect: bool = False
+
+
+@dataclass(frozen=True)
+class Lease:
+    """One shard attempt's claim by one holder, valid until ``deadline``.
+
+    Frozen: renewal replaces the lease rather than mutating it, so a
+    lease value captured by a caller never changes under its feet.
+    """
+
+    #: The attempt's key: a fabric shard id, or the pool's future.
+    shard_id: Hashable
+    #: The fabric worker holding the lease (the pool tier uses one id).
+    worker_id: int
+    task: ShardTask
+    #: Monotonic instant the claim lapses without renewal; ``None``
+    #: never lapses.
+    deadline: float | None
+    #: Monotonic instant the attempt started (latency accounting).
+    granted_at: float
+    renewals: int = 0
+
+
+class LeaseTable:
+    """The ledger of in-flight shard attempts, each under a deadline.
+
+    Every method takes the current monotonic instant from its caller,
+    so the table itself never reads a clock.
+
+    Lease state machine::
+
+        granted ──heartbeat──▶ renewed (deadline pushed out)
+           │ result/shard-error          │
+           ▼                             ▼
+        released                  expired ──▶ requeued (FailureLadder)
+
+    Parameters
+    ----------
+    lease_seconds:
+        How long a grant or a renewal holds; ``None`` grants leases
+        that never expire.
+    """
+
+    def __init__(self, lease_seconds: float | None) -> None:
+        if lease_seconds is not None and lease_seconds <= 0:
+            raise ValueError(
+                f"lease_seconds must be positive, got {lease_seconds}"
+            )
+        self.lease_seconds = lease_seconds
+        self._leases: dict[Hashable, Lease] = {}
+
+    def __len__(self) -> int:
+        return len(self._leases)
+
+    def __iter__(self) -> Iterator[Lease]:
+        """Live leases in shard-id order; keys that do not order, such
+        as the pool's futures, come back in grant order."""
+        try:
+            order = sorted(self._leases)
+        except TypeError:
+            order = list(self._leases)
+        return iter([self._leases[shard_id] for shard_id in order])
+
+    def _deadline(self, now: float) -> float | None:
+        return None if self.lease_seconds is None else now + self.lease_seconds
+
+    def grant(
+        self, shard_id: Hashable, worker_id: int, task: ShardTask, now: float
+    ) -> None:
+        """Claim ``task`` for ``worker_id`` until ``now + lease_seconds``."""
+        self._leases[shard_id] = Lease(
+            shard_id=shard_id,
+            worker_id=worker_id,
+            task=task,
+            deadline=self._deadline(now),
+            granted_at=now,
+        )
+
+    def holder(self, shard_id: Hashable) -> Lease | None:
+        """The live lease on ``shard_id``, or ``None``."""
+        return self._leases.get(shard_id)
+
+    def release(self, shard_id: Hashable) -> ShardTask | None:
+        """Drop the lease (completion, failure, or forfeiture); returns
+        the covered task, or ``None`` if the lease was already gone."""
+        lease = self._leases.pop(shard_id, None)
+        return None if lease is None else lease.task
+
+    def renew(self, worker_id: int, now: float) -> int:
+        """Heartbeat: push out every lease ``worker_id`` holds."""
+        held = self.held_by(worker_id)
+        for shard_id in held:
+            lease = self._leases[shard_id]
+            self._leases[shard_id] = replace(
+                lease,
+                deadline=self._deadline(now),
+                renewals=lease.renewals + 1,
+            )
+        return len(held)
+
+    def held_by(self, worker_id: int) -> list[Hashable]:
+        """Shard ids leased to ``worker_id``."""
+        return [
+            lease.shard_id for lease in self if lease.worker_id == worker_id
+        ]
+
+    def outstanding(self) -> list[ShardTask]:
+        """Every task still under lease."""
+        return [lease.task for lease in self]
+
+    def expired(self, now: float) -> list[Hashable]:
+        """Shard ids whose lease lapsed without renewal."""
+        return [
+            lease.shard_id
+            for lease in self
+            if lease.deadline is not None and now >= lease.deadline
+        ]
 
 
 @dataclass

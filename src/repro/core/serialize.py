@@ -72,8 +72,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
     "decode_frame",
-    "lease_record",
-    "lease_from_record",
     "FABRIC_SETUP_VERSION",
     "fabric_setup_record",
     "fabric_setup_from_record",
@@ -593,33 +591,6 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     if not isinstance(message, dict) or "type" not in message:
         raise ValueError("frame payload is not a typed fabric message")
     return message
-
-
-def lease_record(lease) -> dict[str, Any]:
-    """Serialise one shard lease (:class:`repro.core.fabric.lease.Lease`)
-    as a JSON-compatible record — the coordinator's status surface and
-    the lease-table snapshot tests speak this."""
-    return {
-        "kind": "lease",
-        "shard_id": lease.shard_id,
-        "worker_id": lease.worker_id,
-        "deadline": lease.deadline,
-        "granted_at": lease.granted_at,
-        "renewals": lease.renewals,
-    }
-
-
-def lease_from_record(record: dict[str, Any]):
-    """Rebuild a :class:`repro.core.fabric.lease.Lease` from its record."""
-    from repro.core.fabric.lease import Lease
-
-    return Lease(
-        shard_id=record["shard_id"],
-        worker_id=record["worker_id"],
-        deadline=record["deadline"],
-        granted_at=record["granted_at"],
-        renewals=record["renewals"],
-    )
 
 
 #: Version of the fabric ``welcome`` setup record. Version 2 carries the

@@ -16,6 +16,7 @@ process (``drop``) and the coordinator crash/restart tests drive real
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import signal
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -42,7 +44,6 @@ from repro.core import (
     WorkerLost,
     read_checkpoint,
 )
-from repro.core.fabric.lease import LeaseTable
 from repro.core.fabric.protocol import MSG_DRAIN, MSG_RESULT, MSG_WELCOME
 from repro.core.serialize import (
     decode_frame,
@@ -50,9 +51,8 @@ from repro.core.serialize import (
     experiment_record,
     fabric_setup_from_record,
     fabric_setup_record,
-    lease_from_record,
-    lease_record,
 )
+from repro.core.resilience import LeaseTable
 from repro.obs import MetricsRegistry, Observability
 from repro.systolic import Dataflow, MeshConfig
 
@@ -94,7 +94,7 @@ def thread_fleet(n_workers: int, jobs: int = 1):
                 host,
                 port,
                 jobs=jobs,
-                reconnect_attempts=40,
+                reconnect_attempts=4,
                 reconnect_delay=0.25,
             )
             thread = threading.Thread(target=agent.run, daemon=True)
@@ -184,11 +184,6 @@ class TestFrameCodec:
         with pytest.raises(ValueError, match="type"):
             decode_frame(b'{"no_type": 1}')
 
-    def test_lease_record_roundtrip(self):
-        table = LeaseTable(lease_seconds=5.0)
-        lease = table.grant(7, 2, ShardTask(sites=[(0, 1)]), now=100.0)
-        assert lease_from_record(lease_record(lease)) == lease
-
     def test_fabric_setup_roundtrip(self):
         campaign = make_campaign()
         chaos = ChaosSpec.build({(1, 1): ChaosAction("replay", times=None)})
@@ -252,11 +247,30 @@ class TestLeaseTable:
             [(0, 2)],
             [(0, 3)],
         ]
-        assert [entry["shard_id"] for entry in table.snapshot()] == [1, 2, 3]
 
     def test_rejects_nonpositive_lease(self):
         with pytest.raises(ValueError, match="positive"):
             LeaseTable(lease_seconds=0.0)
+
+    def test_lease_without_deadline_never_expires(self):
+        table = LeaseTable(lease_seconds=None)
+        table.grant(1, 0, ShardTask(sites=[(0, 0)]), now=10.0)
+        assert table.holder(1).deadline is None
+        assert table.expired(now=1e12) == []
+
+    def test_unordered_keys_come_back_in_grant_order(self):
+        # The pool tier keys its leases by future, which has no order.
+        table = LeaseTable(lease_seconds=2.0)
+        futures = [Future() for _ in range(3)]
+        for column, future in enumerate(futures):
+            table.grant(future, 0, ShardTask(sites=[(0, column)]), now=0.0)
+        assert table.held_by(0) == futures
+        assert table.expired(now=2.0) == futures
+        assert [t.sites for t in table.outstanding()] == [
+            [(0, 0)],
+            [(0, 1)],
+            [(0, 2)],
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +352,39 @@ class TestDistributedEquivalence:
         # ParallelExecutor resumes it to a complete, identical campaign.
         resumed = make_campaign().run(ParallelExecutor(jobs=2, resume=path))
         assert_campaigns_equivalent(serial, resumed)
+
+    def test_checkpoint_write_failure_raises_on_both_tiers(
+        self, tmp_path, monkeypatch
+    ):
+        # The second shard's records do not reach the disk. Both tiers
+        # end the campaign with the write's error; the fabric must not
+        # mistake it for a lost worker and finish without those records.
+        record_batch = ParallelExecutor._record_batch
+        writes = []
+
+        def full_disk(self, stream, records):
+            writes.append(len(records))
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            record_batch(self, stream, records)
+
+        monkeypatch.setattr(ParallelExecutor, "_record_batch", full_disk)
+        with pytest.raises(OSError):
+            make_campaign().run(
+                ParallelExecutor(jobs=2, checkpoint=tmp_path / "pool.jsonl")
+            )
+        metrics = MetricsRegistry()
+        announce, threads = thread_fleet(2)
+        writes.clear()
+        with pytest.raises(OSError):
+            make_campaign().run(DistributedExecutor(
+                expected_workers=2, announce=announce,
+                checkpoint=tmp_path / "fabric.jsonl",
+                obs=Observability(metrics=metrics), **LEASE,
+            ))
+        for thread in threads:
+            thread.join(timeout=30)
+        assert metrics.value("repro_fabric_worker_lost_total") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -524,11 +571,13 @@ OTHER_WORKLOAD = GemmWorkload(
 
 @contextlib.contextmanager
 def warm_agent(port: int, **kwargs):
-    """One thread-hosted ``stay`` agent with one pool process, retrying
-    ``port`` until a coordinator listens; drained and joined on exit."""
+    """One thread-hosted ``stay`` agent (one pool process unless ``jobs``
+    says otherwise), retrying ``port`` until a coordinator listens;
+    drained and joined on exit."""
+    kwargs.setdefault("jobs", 1)
     kwargs.setdefault("reconnect_delay", 0.05)
     kwargs.setdefault("reconnect_attempts", 400)
-    agent = WorkerAgent("127.0.0.1", port, jobs=1, stay=True, **kwargs)
+    agent = WorkerAgent("127.0.0.1", port, stay=True, **kwargs)
     thread = threading.Thread(target=agent.run, daemon=True)
     thread.start()
     try:
@@ -572,27 +621,46 @@ class TestWarmAgent:
         # Setup B hangs its first shard past the watchdog, so the agent
         # kills its warm pool and starts a new one. No initializer is
         # left to seed the new child: it adopts B from the setup token
-        # its first shard carries.
+        # its first shard carries. A sibling shard asleep beside the
+        # hung one dies with the pool; it is a bystander, so it reruns
+        # unpenalized and both tiers count the same failures. The nap
+        # at (0, 0) holds back the sleeper's start, so its own deadline
+        # falls seconds after the hung shard's on both tiers.
         port = free_port()
-        chaos = ChaosSpec.build(
-            {(1, 1): ChaosAction("hang", times=1)}, state_dir=tmp_path
-        )
+        schedule = {
+            (0, 0): ChaosAction("sleep", seconds=2.0, times=1),
+            (1, 1): ChaosAction("hang", times=1),
+            (3, 2): ChaosAction("sleep", seconds=9.0, times=1),
+        }
+        for tier in ("fabric", "pool"):
+            (tmp_path / tier).mkdir()
         metrics = MetricsRegistry()
-        with warm_agent(port) as agent:
+        with warm_agent(port, jobs=2) as agent:
             assert_campaigns_equivalent(serial, run_on_port(port, WORKLOAD))
             warm = pool_pids(agent)
             # The agent's deadline also covers spawning the restarted
             # child, so it must outlast a spawn-context interpreter start.
             result = run_on_port(
-                port, OTHER_WORKLOAD, chaos=chaos, shard_timeout=6.0,
-                obs=Observability(metrics=metrics),
+                port, OTHER_WORKLOAD,
+                chaos=ChaosSpec.build(schedule, state_dir=tmp_path / "fabric"),
+                shard_timeout=6.0, obs=Observability(metrics=metrics),
             )
             restarted = pool_pids(agent)
-        assert_campaigns_equivalent(
-            Campaign(MESH, OTHER_WORKLOAD).run(), result
-        )
+        expected = Campaign(MESH, OTHER_WORKLOAD).run()
+        assert_campaigns_equivalent(expected, result)
         assert metrics.value("repro_shard_failures_total", kind="timeout") >= 1
         assert restarted and restarted != warm
+        pool_metrics = MetricsRegistry()
+        pool_result = Campaign(MESH, OTHER_WORKLOAD).run(ParallelExecutor(
+            jobs=2, retry=FAST_RETRY, shard_timeout=6.0,
+            chaos=ChaosSpec.build(schedule, state_dir=tmp_path / "pool"),
+            obs=Observability(metrics=pool_metrics),
+        ))
+        assert_campaigns_equivalent(expected, pool_result)
+        for kind in ("timeout", "pool-broken"):
+            assert metrics.value(
+                "repro_shard_failures_total", kind=kind
+            ) == pool_metrics.value("repro_shard_failures_total", kind=kind)
 
 
 class ScriptedCoordinator:

@@ -42,7 +42,7 @@ from repro.core import (
 )
 from repro.core.executor import _validate_shard
 from repro.core.reports import campaign_summary
-from repro.core.serialize import campaign_to_dict
+from repro.core.serialize import campaign_to_dict, experiment_record
 from repro.systolic import Dataflow, MeshConfig
 
 from tests.core._support import (
@@ -186,7 +186,9 @@ class TestChaosSpec:
 class TestShardValidation:
     def test_accepts_sound_payload(self, serial):
         sites = [(0, 0), (0, 1)]
-        payload = ([serial.result_at(r, c) for r, c in sites], [])
+        payload = (
+            [experiment_record(serial.result_at(r, c)) for r, c in sites], []
+        )
         assert _validate_shard(payload, sites) is None
 
     def test_rejects_wrong_length_and_type(self, serial):
@@ -199,7 +201,9 @@ class TestShardValidation:
         assert "not an experiment result" in problem
 
     def test_rejects_mismatched_site(self, serial):
-        problem = _validate_shard(([serial.result_at(3, 3)], []), [(0, 0)])
+        problem = _validate_shard(
+            ([experiment_record(serial.result_at(3, 3))], []), [(0, 0)]
+        )
         assert "mismatched site" in problem
 
 
