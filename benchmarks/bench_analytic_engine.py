@@ -25,20 +25,34 @@ the pool tiers its time includes moving every corrupted cell through
 the shard records; each row records the campaign's corrupted-cell count
 next to its times.
 
+A study row closes the bench: the warm serial Table I study on the
+analytic engine (``run_paper_study``, golden cache cleared per pass, as
+in the benchmark's ``study_analytic`` workload), its time and each
+configuration's campaign time, median of interleaved passes; and the
+peak RSS of one Conv 112 3x3x3x8 WS campaign with patterns kept,
+measured in a fresh child process next to that process's RSS after
+import (read from Linux's ``/proc/self/status``).
+
 Numbers land in ``BENCH_analytic_engine.json`` at the repo root.
 """
 
 import json
+import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import repro
 from repro.core import Campaign, FillKind, GemmWorkload
 from repro.core.executor import GOLDEN_CACHE, ParallelExecutor, SerialExecutor
+from repro.core.sampling import paper_configurations
 from repro.core.serialize import SCHEMA_VERSION
+from repro.core.study import run_paper_study
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, parallel_capacity, run_once
@@ -54,6 +68,29 @@ DATAFLOWS = (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY)
 EXECUTOR_SIZE = 112
 EXECUTOR_JOBS = 2
 EXECUTOR_REPEATS = 7
+
+#: Interleaved passes of the study row.
+STUDY_REPEATS = 7
+
+#: The child process of the study row's memory figure: one Conv 112
+#: campaign, with the peak RSS read before and after. Linux's ``VmHWM``
+#: restarts at exec; ``ru_maxrss`` would carry over the parent's peak.
+CONV_112_RSS = """
+import json
+from repro.core import Campaign, ConvWorkload
+from repro.systolic import Dataflow, MeshConfig
+def rss_mb():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+after_import = rss_mb()
+Campaign(
+    MeshConfig.paper(),
+    ConvWorkload.paper_kernel(112, (3, 3, 3, 8), Dataflow.WEIGHT_STATIONARY),
+    engine="analytic",
+).run()
+print(json.dumps({"after_import_mb": after_import, "peak_mb": rss_mb()}))
+"""
 
 
 def make_campaign(dataflow: Dataflow, engine: str) -> Campaign:
@@ -137,6 +174,48 @@ def _executor_rows() -> list[dict]:
     return rows
 
 
+def _study_row() -> dict:
+    """Warm serial Table I study on the analytic engine, and the Conv 112
+    campaign's peak RSS in a child process."""
+    configs = {}
+    for workloads in paper_configurations().values():
+        for workload in workloads:
+            configs.setdefault(workload.describe(), workload)
+    run_paper_study(engine="analytic")  # warm-up: imports, lazy set-up
+    study, per_config = [], {name: [] for name in configs}
+    for _ in range(STUDY_REPEATS):
+        GOLDEN_CACHE.clear()
+        start = time.perf_counter()
+        report = run_paper_study(engine="analytic")
+        study.append(time.perf_counter() - start)
+        assert report.all_single_class and report.all_match_theory
+        for name, workload in configs.items():
+            GOLDEN_CACHE.clear()
+            start = time.perf_counter()
+            Campaign(MESH, workload, engine="analytic").run()
+            per_config[name].append(time.perf_counter() - start)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", CONV_112_RSS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rss = json.loads(child.stdout.strip().splitlines()[-1])
+    return {
+        "study_ms": 1e3 * statistics.median(study),
+        "sites": sum(len(e.result.experiments) for e in report.entries),
+        "config_ms": {
+            name: 1e3 * statistics.median(times)
+            for name, times in per_config.items()
+        },
+        "conv112_rss_after_import_mb": rss["after_import_mb"],
+        "conv112_peak_rss_mb": rss["peak_mb"],
+    }
+
+
 def test_analytic_speedup(benchmark):
     rows = []
     for dataflow in DATAFLOWS:
@@ -195,6 +274,19 @@ def test_analytic_speedup(benchmark):
             f"{row[name]:>13.0f}ms" for name in names
         ))
 
+    study = _study_row()
+    print(banner(
+        f"Table I study — analytic engine, warm, serial, median of "
+        f"{STUDY_REPEATS} interleaved passes"
+    ))
+    print(f"whole study ({study['sites']} sites): {study['study_ms']:.0f}ms")
+    for name, ms in study["config_ms"].items():
+        print(f"  {ms:>7.1f}ms  {name}")
+    print(
+        f"Conv 112 campaign peak RSS: {study['conv112_peak_rss_mb']:.0f} MB "
+        f"(after import: {study['conv112_rss_after_import_mb']:.0f} MB)"
+    )
+
     ARTIFACT.write_text(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "bench": "analytic_engine",
@@ -206,6 +298,8 @@ def test_analytic_speedup(benchmark):
         "sweeps": rows,
         "executor_repeats": EXECUTOR_REPEATS,
         "executors": executors,
+        "study_repeats": STUDY_REPEATS,
+        "study": study,
     }, indent=2) + "\n")
     print(f"written: {ARTIFACT.name}")
 

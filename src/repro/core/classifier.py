@@ -191,9 +191,8 @@ def classify_batch(
     """Classify ``num_sites`` corruption patterns from one flat cell list.
 
     Entry ``i`` of ``sites``/``rows``/``cols`` says GEMM output cell
-    ``(rows[i], cols[i])`` is corrupted in pattern ``sites[i]`` — the
-    layout ``np.nonzero`` yields on a stacked ``(S, M, N)`` mask. Cells
-    must be distinct within a site; pattern order is free. Returns one
+    ``(rows[i], cols[i])`` is corrupted in pattern ``sites[i]``. Cells
+    must be distinct within a site; their order is free. Returns one
     :class:`Classification` per site, in site order.
 
     The rules only need per-site distinct counts — of tiles, within-tile

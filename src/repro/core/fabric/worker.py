@@ -375,11 +375,15 @@ class WorkerAgent:
         if action is not None and action.kind == "truncate":
             await self._send_truncated(writer, lock, message)
             return
-        await send_frame(writer, message, self.io_timeout, lock=lock)
         if action is not None and action.kind == "replay":
-            # Duplicate delivery: the coordinator's lease check must
-            # make the second copy a no-op.
-            await send_frame(writer, message, self.io_timeout, lock=lock)
+            # Both copies in one write: a drain after the first cannot
+            # cancel this task before the second, which the lease check drops.
+            frame = encode_frame(message)
+            async with lock:
+                writer.write(frame + frame)
+                await asyncio.wait_for(writer.drain(), self.io_timeout)
+            return
+        await send_frame(writer, message, self.io_timeout, lock=lock)
 
     async def _send_truncated(
         self,

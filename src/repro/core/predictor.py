@@ -102,9 +102,11 @@ def _lines(coords: np.ndarray, tile: int, extent: int) -> np.ndarray:
     return np.arange(extent)[None, :] % tile == coords[:, None]
 
 
-def _support(sites: Sequence[FaultSite], plan: TilingPlan) -> np.ndarray:
-    """Boolean ``(S, M, N)`` support of every site: the outer product of
-    the output rows and output columns the site's MAC is mapped onto.
+def _support(
+    rows: np.ndarray, cols: np.ndarray, plan: TilingPlan
+) -> np.ndarray:
+    """Boolean ``(S, M, N)`` support of the MACs ``(rows[i], cols[i])``:
+    the outer product of the output rows and columns each is mapped onto.
 
     * **OS** — PE ``(r, c)`` owns local element ``(r, c)`` of every
       output tile: rows of mesh row ``r`` x columns of mesh column ``c``.
@@ -115,17 +117,15 @@ def _support(sites: Sequence[FaultSite], plan: TilingPlan) -> np.ndarray:
       ``c`` (the output-row dimension lies across mesh columns) x all
       columns. The mesh row is irrelevant, exactly as for WS.
     """
-    rows = np.array([site.row for site in sites], dtype=np.int64)
-    cols = np.array([site.col for site in sites], dtype=np.int64)
     if plan.dataflow is Dataflow.OUTPUT_STATIONARY:
         row_lines = _lines(rows, plan.tile_m, plan.m)
         col_lines = _lines(cols, plan.tile_n, plan.n)
     elif plan.dataflow is Dataflow.WEIGHT_STATIONARY:
-        row_lines = np.ones((len(sites), plan.m), dtype=bool)
+        row_lines = np.ones((len(cols), plan.m), dtype=bool)
         col_lines = _lines(cols, plan.tile_n, plan.n)
     elif plan.dataflow is Dataflow.INPUT_STATIONARY:
         row_lines = _lines(cols, plan.tile_m, plan.m)
-        col_lines = np.ones((len(sites), plan.n), dtype=bool)
+        col_lines = np.ones((len(cols), plan.n), dtype=bool)
     else:
         raise ValueError(f"unsupported dataflow: {plan.dataflow!r}")
     return row_lines[:, :, None] & col_lines[:, None, :]
@@ -136,20 +136,31 @@ def _predict(
     plan: TilingPlan,
     geometry: ConvGeometry | None,
 ) -> tuple[np.ndarray, list[Classification]]:
-    """Every site's support and its classification.
+    """The support of each distinct key, and every site's classification.
 
-    The support goes through the SAME structural rules the observed
+    A site's support depends only on its key: its mesh column under WS
+    and IS, its ``(row, col)`` under OS. So each key's support is built
+    and classified once, in key order, and every site of the key shares
+    the result: an exhaustive 16x16 WS sweep classifies 16 supports.
+
+    Each support goes through the SAME structural rules the observed
     patterns go through (:func:`~repro.core.classifier.classify_batch`),
     so prediction and classification agree by construction, including on
     degenerate shapes (one-row outputs, where a full column and a single
     element are the same cell set). A convolution is classified in
     channel space.
     """
-    support = _support(sites, plan)
+    rows = np.array([site.row for site in sites], dtype=np.int64)
+    cols = np.array([site.col for site in sites], dtype=np.int64)
+    keys = cols
+    if plan.dataflow is Dataflow.OUTPUT_STATIONARY:
+        keys = rows * (int(cols.max(initial=0)) + 1) + cols
+    _, first, key_of = np.unique(keys, return_index=True, return_inverse=True)
+    support = _support(rows[first], cols[first], plan)
     classifications = classify_batch(
-        *np.nonzero(support), len(sites), plan, conv=geometry is not None
+        *np.nonzero(support), len(first), plan, conv=geometry is not None
     )
-    return support, classifications
+    return support, [classifications[key] for key in key_of.tolist()]
 
 
 def predict_pattern(

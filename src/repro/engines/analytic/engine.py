@@ -10,6 +10,12 @@ whose fault the algebra cannot close over (see
 fallback count is published on the ``repro_analytic_fallback_total``
 metric so a campaign's analytic coverage is observable.
 
+Cost follows the corrupted cells, not the output size: the kernels
+compute only on each fault's support and emit its nonzero deltas as flat
+``(site, row, col, deviation)`` cells, which the per-site reductions and
+the batched classifier read directly. Dense arrays appear only at the
+``keep_patterns`` boundary, one ``FaultPattern`` per site from its cells.
+
 The function is deliberately stateless — it builds its whole evaluation
 context (operands, tiling geometry, site groups) fresh from the pickled
 campaign spec on every call. That keeps it safe inside forked executor
@@ -54,6 +60,12 @@ _FALLBACK_HELP = (
     "Sites the analytic engine delegated to the functional engine "
     "because their fault has no closed-form delta."
 )
+
+#: Corrupted cells as flat int64 ``(site, row, col, deviation)`` arrays:
+#: deviation nonzero, cells distinct per site, emitted in runs of one site.
+_Cells = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_NO_CELLS: _Cells = (np.zeros(0, dtype=np.int64),) * 4
 
 
 def unsupported_sites(
@@ -162,9 +174,6 @@ def _evaluate_closed_form(
     results: list[ExperimentResult | None],
 ) -> None:
     """Fill ``results`` for every ``supported`` index via batched deltas."""
-    in_t = campaign.mesh.input_dtype
-    acc_t = campaign.mesh.acc_dtype
-    a, b = _gemm_operands(campaign, geometry)
     if geometry is None:
         gemm_golden = golden
     else:
@@ -172,6 +181,60 @@ def _evaluate_closed_form(
             geometry.gemm_m, geometry.k
         )
 
+    site, cell_rows, cell_cols, dev = _batch_cells(
+        campaign, faults, supported, gemm_golden, plan, geometry
+    )
+    # Per-site reductions over the cells alone, never over the output.
+    num_sites = len(supported)
+    counts = np.bincount(site, minlength=num_sites)
+    maxima = np.zeros(num_sites, dtype=np.int64)
+    np.maximum.at(maxima, site, np.abs(dev))
+    classifications = classify_batch(
+        site, cell_rows, cell_cols, num_sites, plan, conv=geometry is not None
+    )
+
+    patterns: list[FaultPattern | None] = [None] * num_sites
+    if campaign.keep_patterns:
+        # Dense arrays exist only here, one per site, from its own cells:
+        # the kernels emit runs of one site, so the stable sort merely
+        # merges a few sorted runs.
+        by_site = np.split(
+            np.argsort(site, kind="stable"),
+            np.cumsum(counts, dtype=np.int64)[:-1],
+        )
+        patterns = [
+            _dense_pattern(
+                cell_rows[cells], cell_cols[cells], dev[cells], plan, geometry
+            )
+            for cells in by_site
+        ]
+
+    for position, (index, count, maximum) in enumerate(
+        zip(supported, counts.tolist(), maxima.tolist())
+    ):
+        results[index] = ExperimentResult(
+            site=faults[index].site,
+            classification=classifications[position],
+            num_corrupted=count,
+            max_abs_deviation=maximum,
+            pattern=patterns[position],
+        )
+
+
+def _batch_cells(
+    campaign: Campaign,
+    faults: list[FaultDescriptor],
+    supported: list[int],
+    gemm_golden: np.ndarray,
+    plan: TilingPlan,
+    geometry: ConvGeometry | None,
+) -> _Cells:
+    """Every corrupted cell of the ``supported`` sites, GEMM-spaced, with
+    site ``i`` standing for ``faults[supported[i]]``: each kernel walks
+    the plan as :class:`~repro.ops.gemm.TiledGemm` does, and a site
+    masked for a tile's shape emits no cells there."""
+    mesh = campaign.mesh
+    a, b = _gemm_operands(campaign, geometry)
     # Group sites by stuck-at family so each kernel call forces one
     # homogeneous (signal, bit, value) triple. First-seen order keeps the
     # grouping deterministic without iterating a dict, and the plain
@@ -186,81 +249,59 @@ def _evaluate_closed_form(
             order.append(key)
         groups[key].append(position)
 
-    deviation = np.zeros((len(supported), *gemm_golden.shape), dtype=np.int64)
+    # IS is WS on the transposed problem (as in the engines): mesh column
+    # c computes output *row* c of every tile. Its cells come back in
+    # the transposed problem's (col, row) order and are swapped on return.
+    dataflow = campaign.workload.dataflow
+    ws_problem = (a, b, gemm_golden, plan.n_tiles)
+    if dataflow is Dataflow.INPUT_STATIONARY:
+        ws_problem = (b.T, a.T, gemm_golden.T, plan.m_tiles)
+    rows = np.array([faults[i].site.row for i in supported], dtype=np.int64)
+    cols = np.array([faults[i].site.col for i in supported], dtype=np.int64)
+    parts = [_NO_CELLS]
     for key in order:
-        signal, bit, stuck = key
-        lens = FaultLens(
-            signal=signal,
-            bit=bit,
-            stuck=stuck,
-            input_dtype=in_t,
-            acc_dtype=acc_t,
-        )
         positions = np.array(groups[key], dtype=np.int64)
-        rows = np.array(
-            [faults[supported[p]].site.row for p in groups[key]],
-            dtype=np.int64,
-        )
-        cols = np.array(
-            [faults[supported[p]].site.col for p in groups[key]],
-            dtype=np.int64,
-        )
-        _group_deviation(
-            deviation,
-            positions,
-            rows,
-            cols,
-            a,
-            b,
-            gemm_golden,
-            plan,
-            campaign.workload.dataflow,
-            campaign.mesh.rows,
-            lens,
-        )
-
-    # One batched pass over the whole deviation tensor replaces the
-    # per-site mask scans. ``deviation`` is GEMM-spaced for GEMM and conv
-    # alike, counts and maxima are layout-invariant, and ``np.nonzero`` on
-    # the 3-D stack yields every site's cells as the flat (site, row, col)
-    # arrays the batched classifier takes. The largest |deviation| is
-    # max(max, -min): two reductions instead of an |x| copy of the stack.
-    gemm_mask = deviation != 0
-    counts = gemm_mask.sum(axis=(1, 2), dtype=np.int64).tolist()
-    maxima = np.maximum(
-        deviation.max(axis=(1, 2)), -deviation.min(axis=(1, 2))
-    ).tolist()
-    classifications = classify_batch(
-        *np.nonzero(gemm_mask), len(supported), plan, conv=geometry is not None
-    )
-
-    patterns: list[FaultPattern | None] = [None] * len(supported)
-    if campaign.keep_patterns:
-        if geometry is None:
-            dev_out = deviation
-        else:
-            dev_out = deviation.reshape(
-                len(supported), geometry.n, geometry.p, geometry.q, geometry.k
-            ).transpose(0, 1, 4, 2, 3)
-        mask_out = dev_out != 0
-        patterns = [
-            FaultPattern(
-                mask=mask_out[position],
-                deviation=dev_out[position],
-                plan=plan,
-                geometry=geometry,
+        site_rows, site_cols = rows[positions], cols[positions]
+        lens = FaultLens(*key, mesh.input_dtype, mesh.acc_dtype)
+        if dataflow is Dataflow.OUTPUT_STATIONARY:
+            parts += _os_cells(
+                positions, site_rows, site_cols, a, b, gemm_golden, plan, lens
             )
-            for position in range(len(supported))
-        ]
+        else:
+            parts += _ws_cells(
+                positions,
+                site_rows,
+                site_cols,
+                *ws_problem,
+                plan.k_tiles,
+                mesh.rows,
+                lens,
+            )
 
-    for position, index in enumerate(supported):
-        results[index] = ExperimentResult(
-            site=faults[index].site,
-            classification=classifications[position],
-            num_corrupted=counts[position],
-            max_abs_deviation=maxima[position],
-            pattern=patterns[position],
-        )
+    site, cell_rows, cell_cols, dev = map(np.concatenate, zip(*parts))
+    if dataflow is Dataflow.INPUT_STATIONARY:
+        return site, cell_cols, cell_rows, dev
+    return site, cell_rows, cell_cols, dev
+
+
+def _dense_pattern(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    dev: np.ndarray,
+    plan: TilingPlan,
+    geometry: ConvGeometry | None,
+) -> FaultPattern:
+    """One site's dense :class:`FaultPattern` from its GEMM-spaced cells,
+    reshaped to ``(N, K, P, Q)`` for a convolution."""
+    deviation = np.zeros((plan.m, plan.n), dtype=np.int64)
+    deviation[rows, cols] = dev
+    if geometry is not None:
+        g = geometry
+        deviation = deviation.reshape(g.n, g.p, g.q, g.k)
+        deviation = deviation.transpose(0, 3, 1, 2)
+    return FaultPattern(
+        mask=deviation != 0, deviation=deviation, plan=plan, geometry=geometry
+    )
 
 
 #: Upper bound on the (site, tile) pairs one OS kernel call advances:
@@ -269,70 +310,7 @@ def _evaluate_closed_form(
 _OS_PAIRS_PER_CALL = 1 << 12
 
 
-def _group_deviation(
-    deviation: np.ndarray,
-    positions: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    gemm_golden: np.ndarray,
-    plan: TilingPlan,
-    dataflow: Dataflow,
-    mesh_rows: int,
-    lens: FaultLens,
-) -> None:
-    """Scatter one lens group's per-site deltas into ``deviation``.
-
-    Reproduces :class:`~repro.ops.gemm.TiledGemm`'s walk of the tiling
-    plan — reduction tiles chained through each output tile's
-    accumulator — advancing every site's faulty state with the
-    dataflow's kernel, then writes ``faulty - golden`` at the
-    coordinates the fault reaches. Sites architecturally masked for a
-    tile's shape (their MAC falls outside the occupied mesh region) are
-    simply skipped: their delta stays zero.
-    """
-    if dataflow is Dataflow.OUTPUT_STATIONARY:
-        _os_deviation(
-            deviation, positions, rows, cols, a, b, gemm_golden, plan, lens
-        )
-    elif dataflow is Dataflow.WEIGHT_STATIONARY:
-        _ws_deviation(
-            deviation,
-            positions,
-            rows,
-            cols,
-            a,
-            b,
-            gemm_golden,
-            plan.n_tiles,
-            plan.k_tiles,
-            mesh_rows,
-            lens,
-        )
-    elif dataflow is Dataflow.INPUT_STATIONARY:
-        # IS is WS on the transposed problem (as in the engines): mesh
-        # column c computes output *row* c of every tile. The transposed
-        # deviation view writes through to the GEMM-spaced stack.
-        _ws_deviation(
-            deviation.transpose(0, 2, 1),
-            positions,
-            rows,
-            cols,
-            b.T,
-            a.T,
-            gemm_golden.T,
-            plan.m_tiles,
-            plan.k_tiles,
-            mesh_rows,
-            lens,
-        )
-    else:
-        raise ValueError(f"unsupported dataflow: {dataflow!r}")
-
-
-def _ws_deviation(
-    deviation: np.ndarray,
+def _ws_cells(
     positions: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
@@ -343,41 +321,42 @@ def _ws_deviation(
     k_tiles: Sequence[TileRange],
     mesh_rows: int,
     lens: FaultLens,
-) -> None:
-    """WS deltas, one full-height pass per output column tile.
+) -> list[_Cells]:
+    """WS cells, one full-height pass per output column tile.
 
     Mesh column c computes output column c of every tile, and each
     output row's partial-sum chain is independent of every other row's
     (:func:`ws_chain_tile` is elementwise in the row), so the row tiles
     of one column tile collapse into a single pass over all ``M`` rows.
     """
-    out_rows = np.arange(deviation.shape[1], dtype=np.int64)
+    parts = []
     for n_range in col_tiles:
         active = cols < n_range.size
         if not active.any():
             continue
-        r = rows[active]
         c = cols[active]
-        b_cols = b[:, n_range.start : n_range.stop]
-        state = np.zeros((len(out_rows), len(c)), dtype=np.int64)
+        state = np.zeros((len(a), len(c)), dtype=np.int64)
         for k_range in k_tiles:
             state = ws_chain_tile(
                 state,
                 a[:, k_range.start : k_range.stop],
-                b_cols[k_range.start : k_range.stop],
-                r,
+                b[k_range.start : k_range.stop, n_range.start : n_range.stop],
+                rows[active],
                 c,
                 mesh_rows,
                 lens,
             )
         out_cols = n_range.start + c
-        deviation[
-            positions[active][:, None], out_rows[None, :], out_cols[:, None]
-        ] = (state - gemm_golden[:, out_cols]).T
+        # Transposed, the nonzero scan walks one site's column at a time,
+        # so the cells come out grouped by site.
+        dev = (state - gemm_golden[:, out_cols]).T
+        pair, out_row = np.nonzero(dev)
+        site = positions[active][pair]
+        parts.append((site, out_row, out_cols[pair], dev[pair, out_row]))
+    return parts
 
 
-def _os_deviation(
-    deviation: np.ndarray,
+def _os_cells(
     positions: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
@@ -386,8 +365,8 @@ def _os_deviation(
     gemm_golden: np.ndarray,
     plan: TilingPlan,
     lens: FaultLens,
-) -> None:
-    """OS deltas, one kernel pass per output-tile shape.
+) -> list[_Cells]:
+    """OS cells, one kernel pass per output-tile shape.
 
     PE (r, c) owns element (r, c) of every output tile. Tiles of equal
     shape share the cycle count and each PE's skew ``r + c``, so every
@@ -400,6 +379,7 @@ def _os_deviation(
         shapes.setdefault((m_range.size, n_range.size), []).append(
             (m_range.start, n_range.start)
         )
+    parts = []
     for (mt, nt), origins in shapes.items():
         active = np.flatnonzero((rows < mt) & (cols < nt))
         if not active.size:
@@ -426,6 +406,10 @@ def _os_deviation(
                     row_base=m0,
                     col_base=n0,
                 )
-            deviation[positions[pair_site], m0 + r, n0 + c] = (
-                state - gemm_golden[m0 + r, n0 + c]
-            )
+            out_rows = m0 + r
+            out_cols = n0 + c
+            dev = state - gemm_golden[out_rows, out_cols]
+            hit = np.flatnonzero(dev)
+            site = positions[pair_site[hit]]
+            parts.append((site, out_rows[hit], out_cols[hit], dev[hit]))
+    return parts

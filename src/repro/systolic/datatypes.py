@@ -207,12 +207,16 @@ def wrap_array(values: np.ndarray, dtype: IntType) -> np.ndarray:
     int64 is retained so that downstream arithmetic (which may itself wrap)
     never overflows numpy's fixed-width types mid-expression.
     """
-    values = np.asarray(values, dtype=np.int64)
     mask = np.int64(dtype.mask)
-    wrapped = values & mask
-    if dtype.signed:
-        sign = np.int64(1) << np.int64(dtype.width - 1)
-        wrapped = np.where(wrapped >= sign, wrapped - (np.int64(1) << np.int64(dtype.width)), wrapped)
+    if not dtype.signed:
+        return np.asarray(values, dtype=np.int64) & mask
+    # ((v + 2**(w-1)) & mask) - 2**(w-1), in place on one new array; an
+    # int64 overflow in the offset wraps mod 2**64, which the mask undoes.
+    half = np.int64(1 << (dtype.width - 1))
+    wrapped = np.array(values, dtype=np.int64)
+    wrapped += half
+    wrapped &= mask
+    wrapped -= half
     return wrapped
 
 
@@ -223,17 +227,15 @@ def force_bit_array(
     dtype.check_bit(bit)
     if stuck_value not in (0, 1):
         raise ValueError(f"stuck_value must be 0 or 1, got {stuck_value}")
-    raw = np.asarray(values, dtype=np.int64) & np.int64(dtype.mask)
+    # Bit operations below the width commute with the wrap, which masks.
+    raw = np.asarray(values, dtype=np.int64)
     if stuck_value:
-        raw = raw | (np.int64(1) << np.int64(bit))
-    else:
-        raw = raw & ~(np.int64(1) << np.int64(bit))
-    return wrap_array(raw, dtype)
+        return wrap_array(raw | np.int64(1 << bit), dtype)
+    return wrap_array(raw & np.int64(~(1 << bit)), dtype)
 
 
 def flip_bit_array(values: np.ndarray, bit: int, dtype: IntType) -> np.ndarray:
     """Vectorised :meth:`IntType.flip_bit` over an int64 array."""
     dtype.check_bit(bit)
-    raw = np.asarray(values, dtype=np.int64) & np.int64(dtype.mask)
-    raw = raw ^ (np.int64(1) << np.int64(bit))
-    return wrap_array(raw, dtype)
+    raw = np.asarray(values, dtype=np.int64)
+    return wrap_array(raw ^ np.int64(1 << bit), dtype)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.systolic.datatypes import (
     INT8,
@@ -171,3 +173,78 @@ class TestVectorised:
     def test_high_bit_force_int32(self):
         forced = force_bit_array(np.array([0]), 31, 1, INT32)
         assert forced[0] == -(2**31)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def typed_values(draw):
+    """An ``IntType`` of width 1-63 and int64 values for it, boundary
+    values (+-2**(w-1), 2**w and their neighbours) mixed with arbitrary
+    ones."""
+    width = draw(st.integers(min_value=1, max_value=63))
+    dtype = IntType(width=width, signed=draw(st.booleans()), name="t")
+    edges = [
+        edge + delta
+        for edge in (0, 2 ** (width - 1), -(2 ** (width - 1)), 2**width)
+        for delta in (-1, 0, 1)
+        if INT64_MIN <= edge + delta <= INT64_MAX
+    ]
+    value = st.one_of(
+        st.sampled_from(edges),
+        st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    )
+    return dtype, draw(st.lists(value, min_size=1, max_size=16))
+
+
+class TestVectorisedMatchesScalar:
+    """The vectorised helpers are the scalar ``IntType`` operations,
+    elementwise, on every width the int64 carrier holds."""
+
+    @given(typed_values())
+    def test_wrap_array(self, case):
+        dtype, values = case
+        array = np.array(values, dtype=np.int64)
+        wrapped = wrap_array(array, dtype)
+        assert wrapped.dtype == np.int64
+        assert wrapped.tolist() == [dtype.wrap(v) for v in values]
+        assert array.tolist() == values  # the input is not modified
+
+    @given(typed_values(), st.data())
+    def test_force_bit_array(self, case, data):
+        dtype, values = case
+        bit = data.draw(st.integers(min_value=0, max_value=dtype.width - 1))
+        stuck = data.draw(st.sampled_from([0, 1]))
+        array = np.array(values, dtype=np.int64)
+        forced = force_bit_array(array, bit, stuck, dtype)
+        assert forced.dtype == np.int64
+        assert forced.tolist() == [
+            dtype.force_bit(v, bit, stuck) for v in values
+        ]
+        assert array.tolist() == values
+
+    @given(typed_values(), st.data())
+    def test_flip_bit_array(self, case, data):
+        dtype, values = case
+        bit = data.draw(st.integers(min_value=0, max_value=dtype.width - 1))
+        array = np.array(values, dtype=np.int64)
+        assert flip_bit_array(array, bit, dtype).tolist() == [
+            dtype.flip_bit(v, bit) for v in values
+        ]
+        assert array.tolist() == values
+
+    @given(typed_values())
+    def test_zero_dim_input(self, case):
+        # A 0-d input yields a 0-d array from the signed wrap and an int64
+        # scalar from the unsigned one; both index and compare like ints.
+        dtype, (value, *_) = case
+        kind = np.ndarray if dtype.signed else np.int64
+        for given_value in (value, np.int64(value), np.array(value)):
+            wrapped = wrap_array(given_value, dtype)
+            assert type(wrapped) is kind
+            assert wrapped.dtype == np.int64 and wrapped.ndim == 0
+            assert int(wrapped) == dtype.wrap(value)
+            forced = force_bit_array(given_value, 0, 1, dtype)
+            assert type(forced) is kind
+            assert int(forced) == dtype.force_bit(value, 0, 1)
