@@ -5,10 +5,13 @@ Four subcommands mirror the workflows of the paper:
 ``repro-fi campaign``
     Run an SSF campaign (exhaustive or sampled) for a GEMM or convolution
     workload and print the summary; optionally dump the raw results or an
-    LLTFI-style fault dictionary as JSON. ``--jobs/-j`` shards the site
-    sweep over worker processes, ``--checkpoint``/``--resume`` stream
-    completed experiments to an append-only JSONL file and pick an
-    interrupted campaign back up (see ``docs/parallel.md``).
+    LLTFI-style fault dictionary as JSON. The flags are validated as a
+    campaign spec, exactly as the service validates one, so a bad flag
+    exits 2 with the spec's field path (``error: mesh.rows: ...``).
+    ``--jobs/-j`` shards the site sweep over worker processes,
+    ``--checkpoint``/``--resume`` stream completed experiments to an
+    append-only JSONL file and pick an interrupted campaign back up (see
+    ``docs/parallel.md``).
 ``repro-fi worker``
     Join a fabric coordinator as an elastic worker agent
     (``--connect HOST:PORT``) and execute shards it leases out; pairs
@@ -59,23 +62,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from pathlib import Path
+from typing import Any, Sequence
 
 from repro.analysis import render_gemm_pattern, summary_table
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    FaultSpec,
-    GemmWorkload,
-    diagonal_sites,
-    predict_pattern,
-)
+from repro.core import Campaign, GemmWorkload, diagonal_sites, predict_pattern
 from repro.core.campaign import ENGINES
-from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.executor import build_executor
 from repro.core.reports import campaign_summary, format_table
 from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
 from repro.core.sampling import StateSpace, random_sites
-from repro.core.serialize import save_campaign, save_fault_dictionary, save_metrics
+from repro.core.serialize import (
+    SpecError,
+    decode_campaign_spec,
+    save_campaign,
+    save_fault_dictionary,
+    save_metrics,
+)
 from repro.faults.sites import MAC_SIGNALS, PAPER_FAULT_SIGNAL, FaultSite
 from repro.obs import (
     NULL_RECORDER,
@@ -93,26 +96,23 @@ __all__ = ["main", "build_parser"]
 _DATAFLOWS = {d.value: d for d in Dataflow}
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (e.g. ``--jobs``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for integer flags with a floor (e.g. ``--jobs``)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for flags that must be >= 0 (e.g. ``--max-retries``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -235,8 +235,6 @@ def _write_obs_artifacts(
         if args.metrics.endswith(".json"):
             path = save_metrics(obs.metrics, args.metrics)
         else:
-            from pathlib import Path
-
             path = Path(args.metrics)
             path.write_text(obs.metrics.render_prometheus())
         print(f"metrics written to {path}")
@@ -293,7 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="site-selection strategy",
     )
     campaign.add_argument(
-        "--num-random", type=int, default=16, help="sites when --sites random"
+        "--num-random",
+        type=_positive_int,
+        default=16,
+        help="sites when --sites random",
     )
     campaign.add_argument("--json", help="write full results JSON here")
     campaign.add_argument(
@@ -583,80 +584,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    mesh = MeshConfig(rows=args.rows, cols=args.cols)
-    dataflow = _DATAFLOWS[args.dataflow]
+def _campaign_spec(args: argparse.Namespace) -> dict[str, Any]:
+    """The campaign spec document the ``campaign`` flags describe.
+
+    The executor kind follows the flags: ``--fabric-listen`` is
+    ``fabric``; ``-j > 1``, ``--checkpoint`` or ``--resume`` is
+    ``parallel``; anything else is ``serial``. Diagonal and random sites
+    are drawn on the validated mesh, so a bad mesh fails as a spec error.
+    """
+    spec: dict[str, Any] = {
+        "mesh": {"rows": args.rows, "cols": args.cols},
+        "workload": {"op": args.op, "dataflow": args.dataflow},
+        "fault": {"signal": args.signal, "bit": args.bit, "stuck": args.stuck},
+        "engine": args.engine,
+        "executor": {"kind": "serial"},
+    }
     if args.op == "gemm":
-        workload = GemmWorkload.square(args.size, dataflow)
+        spec["workload"].update(m=args.size, k=args.size, n=args.size)
     else:
         try:
-            r, s, c, k = (int(part) for part in args.kernel.split(","))
+            kernel = [int(part) for part in args.kernel.split(",")]
         except ValueError:
-            print(f"error: --kernel must be R,S,C,K, got {args.kernel!r}",
-                  file=sys.stderr)
-            return 2
-        workload = ConvWorkload.paper_kernel(
-            args.size, (r, s, c, k), dataflow=dataflow
-        )
-    if args.sites == "all":
-        sites = None
-    elif args.sites == "diagonal":
-        sites = diagonal_sites(mesh)
-    else:
-        sites = random_sites(mesh, args.num_random)
-    spec = FaultSpec(signal=args.signal, bit=args.bit, stuck_value=args.stuck)
-    obs = _build_obs(args)
-    executor = None
+            raise SpecError(
+                "workload.kernel", f"expected R,S,C,K, got {args.kernel!r}"
+            )
+        spec["workload"].update(input_size=args.size, kernel=kernel)
     if args.fabric_listen is not None:
         if args.jobs > 1:
-            print(
-                "error: --fabric-listen and --jobs > 1 are mutually "
-                "exclusive (the fleet's workers bring their own --jobs)",
-                file=sys.stderr,
+            raise ValueError(
+                "--fabric-listen and --jobs > 1 are mutually exclusive "
+                "(the fleet's workers bring their own --jobs)"
             )
-            return 2
-        from repro.core.fabric import DistributedExecutor
-
         host, port = args.fabric_listen
-
-        def announce(bound_host: str, bound_port: int) -> None:
-            print(
-                f"fabric listening on {bound_host}:{bound_port}; join with "
-                f"'repro-fi worker --connect {bound_host}:{bound_port}'",
-                file=sys.stderr,
-            )
-
-        executor = DistributedExecutor(
-            host,
-            port,
-            expected_workers=args.fabric_workers,
-            lease_seconds=args.lease_seconds,
-            heartbeat_interval=args.heartbeat_interval,
-            join_timeout=args.join_timeout,
-            announce=announce,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
-            on_error=args.on_error,
-            obs=obs,
-        )
+        spec["executor"] = {
+            "kind": "fabric", "host": host, "port": port,
+            "workers": args.fabric_workers,
+            "lease_seconds": args.lease_seconds,
+            "heartbeat_interval": args.heartbeat_interval,
+            "join_timeout": args.join_timeout,
+        }
     elif args.jobs > 1 or args.checkpoint or args.resume:
-        executor = ParallelExecutor(
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
-            on_error=args.on_error,
-            obs=obs,
+        spec["executor"] = {"kind": "parallel", "jobs": args.jobs}
+    if args.sites != "all":
+        mesh = decode_campaign_spec(spec)[0].mesh
+        sites = (
+            diagonal_sites(mesh) if args.sites == "diagonal"
+            else random_sites(mesh, args.num_random)
         )
-    elif obs is not None:
-        executor = SerialExecutor(obs=obs)
+        spec["sites"] = [list(site) for site in sites]
+    return spec
+
+
+def _announce_fabric(host: str, port: int) -> None:
+    print(
+        f"fabric listening on {host}:{port}; join with "
+        f"'repro-fi worker --connect {host}:{port}'",
+        file=sys.stderr,
+    )
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    obs = _build_obs(args)
     try:
-        result = Campaign(
-            mesh, workload, fault_spec=spec, engine=args.engine, sites=sites
-        ).run(executor=executor)
+        campaign, executor_spec = decode_campaign_spec(_campaign_spec(args))
+        result = campaign.run(
+            build_executor(
+                executor_spec,
+                obs=obs,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+                announce=_announce_fabric,
+                shard_timeout=args.shard_timeout,
+                max_retries=args.max_retries,
+                on_error=args.on_error,
+            )
+        )
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         if exc.checkpoint is not None:
@@ -666,6 +668,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         return 128 + exc.signum
     except (FileNotFoundError, ValueError) as exc:
+        # SpecError is a ValueError: "error: <field path>: <message>".
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CampaignExecutionError as exc:
@@ -775,8 +778,6 @@ def _cmd_statespace(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.core.study import run_paper_study
 
     mesh = MeshConfig(rows=args.rows, cols=args.cols)
@@ -883,8 +884,6 @@ def _lint_subset(paths, args: argparse.Namespace):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.checks import render_json, render_text
     from repro.checks.baseline import (
         apply_baseline,

@@ -22,6 +22,9 @@ This module is the execution engine behind :meth:`Campaign.run`:
   the fabric worker agent run shards in. It owns the pool's width,
   context and start/restart-after-kill/stop, and ships each shard with a
   setup token, so one pool serves campaign after campaign.
+* :func:`build_executor` — the one place an executor is chosen: the CLI,
+  the service and the study all turn a campaign spec's executor spec
+  (``serial``, ``parallel`` or ``fabric``) into an executor through it.
 
 Resilience
 ----------
@@ -78,7 +81,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Protocol, Sequence
+from typing import IO, Any, Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -120,6 +123,7 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "WorkerPool",
+    "build_executor",
     "shard_sites",
 ]
 
@@ -1230,3 +1234,46 @@ class ParallelExecutor:
         )
         result.telemetry = obs.telemetry(wall_seconds, len(campaign.sites))
         return result
+
+
+def build_executor(
+    executor_spec: dict[str, Any],
+    *,
+    obs: Observability | None = None,
+    interrupt: threading.Event | None = None,
+    announce: Callable[[str, int], None] | None = None,
+    **pooled: Any,
+) -> CampaignExecutor:
+    """The one place an executor spec becomes an executor.
+
+    ``executor_spec`` is the normalised dict ``decode_campaign_spec``
+    returns; the keywords are per-run wiring the caller owns. ``obs`` and
+    ``interrupt`` reach every kind, ``announce(host, port)`` the fabric,
+    and ``pooled`` (the :class:`ParallelExecutor` keywords: checkpoint,
+    resume, chaos, failure policy) the pooled kinds only. A serial spec
+    never checkpoints: it runs in process, and a re-run is its resume.
+    """
+    kind = executor_spec["kind"]
+    if kind == "serial":
+        return SerialExecutor(obs=obs, interrupt=interrupt)
+    if kind == "parallel":
+        return ParallelExecutor(
+            jobs=executor_spec["jobs"], obs=obs, interrupt=interrupt, **pooled
+        )
+    if kind == "fabric":
+        # Imported here: the fabric coordinator builds on this module.
+        from repro.core.fabric import DistributedExecutor
+
+        return DistributedExecutor(
+            executor_spec["host"],
+            executor_spec["port"],
+            expected_workers=executor_spec["workers"],
+            lease_seconds=executor_spec["lease_seconds"],
+            heartbeat_interval=executor_spec["heartbeat_interval"],
+            join_timeout=executor_spec["join_timeout"],
+            announce=announce,
+            obs=obs,
+            interrupt=interrupt,
+            **pooled,
+        )
+    raise ValueError(f"unknown executor kind {kind!r}")

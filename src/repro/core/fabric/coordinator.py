@@ -47,7 +47,6 @@ from typing import IO, Any, Callable
 import numpy as np
 
 from repro.core.campaign import Campaign, ExperimentResult
-from repro.core.chaos import ChaosSpec
 from repro.core.executor import ParallelExecutor, _ShardIngest
 from repro.core.fabric.protocol import (
     MSG_BYE,
@@ -66,14 +65,11 @@ from repro.core.resilience import (
     FailureKind,
     FailureRecord,
     Lease,
-    OnError,
     ProtocolError,
-    RetryPolicy,
     ShardTask,
     WorkerLost,
 )
 from repro.core.serialize import fabric_setup_record
-from repro.obs import Observability
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
 
@@ -592,6 +588,10 @@ class DistributedExecutor(ParallelExecutor):
         Optional ``callable(host, port)`` invoked once the server is
         listening — tests and scripts use it to learn the bound port
         and to spawn local workers.
+    pooled:
+        Every other :class:`~repro.core.executor.ParallelExecutor`
+        keyword (checkpoint, resume, failure policy, chaos, obs,
+        interrupt), passed through unchanged.
     """
 
     def __init__(
@@ -605,30 +605,9 @@ class DistributedExecutor(ParallelExecutor):
         io_timeout: float = 30.0,
         join_timeout: float = 60.0,
         announce: Callable[[str, int], None] | None = None,
-        checkpoint: str | None = None,
-        resume: str | None = None,
-        shards_per_worker: int = 4,
-        shard_timeout: float | None = None,
-        max_retries: int | None = None,
-        retry: RetryPolicy | None = None,
-        on_error: OnError | str = OnError.QUARANTINE,
-        chaos: ChaosSpec | None = None,
-        obs: Observability | None = None,
-        interrupt=None,
+        **pooled: Any,
     ) -> None:
-        super().__init__(
-            jobs=expected_workers,
-            checkpoint=checkpoint,
-            resume=resume,
-            shards_per_worker=shards_per_worker,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-            retry=retry,
-            on_error=on_error,
-            chaos=chaos,
-            obs=obs,
-            interrupt=interrupt,
-        )
+        super().__init__(jobs=expected_workers, **pooled)
         if lease_seconds <= 0:
             raise ValueError(
                 f"lease_seconds must be positive, got {lease_seconds}"

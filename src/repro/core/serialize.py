@@ -1034,8 +1034,8 @@ def decode_campaign_spec(data: Any) -> tuple[Campaign, dict[str, Any]]:
 
     The executor spec comes back as a normalised plain dict (kind plus
     kind-specific knobs, defaults filled in) rather than a constructed
-    executor: the job manager builds the real executor per *run*, wiring
-    in its own checkpoint path, interrupt event, and observability.
+    executor: ``repro.core.executor.build_executor`` builds the real one
+    per *run*, with the caller's checkpoint, interrupt and observability.
 
     Raises
     ------

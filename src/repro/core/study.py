@@ -24,7 +24,7 @@ from repro.core.campaign import (
     GemmWorkload,
 )
 from repro.core.classifier import PatternClass
-from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.executor import build_executor
 from repro.core.predictor import predict_classes
 from repro.core.reports import format_markdown_table, format_table
 from repro.core.sampling import paper_configurations
@@ -193,18 +193,13 @@ def run_paper_study(
         ``None`` (default) runs unobserved; either way the report is
         identical.
     """
-    if jobs > 1:
-        executor: ParallelExecutor | SerialExecutor | None = ParallelExecutor(
-            jobs=jobs,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-            on_error=on_error,
-            obs=obs,
-        )
-    elif obs is not None and obs.armed:
-        executor = SerialExecutor(obs=obs)
-    else:
-        executor = None
+    executor = build_executor(
+        {"kind": "parallel", "jobs": jobs} if jobs > 1 else {"kind": "serial"},
+        obs=obs,
+        shard_timeout=shard_timeout,
+        max_retries=max_retries,
+        on_error=on_error,
+    )
     mesh = mesh or MeshConfig.paper()
     report = StudyReport(mesh=mesh, fault_spec=fault_spec)
     seen: set[str] = set()

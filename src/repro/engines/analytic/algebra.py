@@ -213,15 +213,17 @@ def ws_chain_tile(
         ],
         axis=1,
     )
-    live = site_rows < kt
-    at_idx = np.where(live, site_rows, 0)
-    prefix = csum[:, np.minimum(site_rows, kt), column_of]
-    total = csum[:, kt, column_of]
-    prod_at = np.where(live[None, :], prods[:, at_idx, column_of], 0)
-    suffix = total - prefix - prod_at
+    # head = prefix + fault-row product (the whole tile when row >= kt).
+    head = csum[:, np.minimum(site_rows + 1, kt), column_of]
+    suffix = csum[:, kt, column_of] - head
     if lens.signal == SIGNAL_SUM:
-        product = prod_at
+        # force re-masks its input, so force(wrap(x)) == force(x).
+        psum = force_bit_array(
+            col_state + head, lens.bit, lens.stuck, lens.acc_dtype
+        )
     else:
+        live = site_rows < kt
+        at_idx = np.where(live, site_rows, 0)
         av = np.where(live[None, :], a_tile[:, at_idx], 0)
         wv = np.where(live, w_tile[at_idx, site_cols], 0)
         if lens.signal == SIGNAL_A_REG:
@@ -233,7 +235,6 @@ def ws_chain_tile(
             product = force_bit_array(
                 product, lens.bit, lens.stuck, lens.acc_dtype
             )
-    psum = wrap_array(col_state + prefix + product, lens.acc_dtype)
-    if lens.signal == SIGNAL_SUM:
-        psum = force_bit_array(psum, lens.bit, lens.stuck, lens.acc_dtype)
+        prefix = csum[:, np.minimum(site_rows, kt), column_of]
+        psum = wrap_array(col_state + prefix + product, lens.acc_dtype)
     return wrap_array(psum + suffix, lens.acc_dtype)

@@ -35,8 +35,7 @@ from typing import IO, Any
 
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.chaos import ChaosSpec
-from repro.core.executor import ParallelExecutor, SerialExecutor
-from repro.core.fabric.coordinator import DistributedExecutor
+from repro.core.executor import build_executor
 from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
 from repro.core.serialize import (
     JOB_STATES,
@@ -304,34 +303,13 @@ class JobManager:
         """Build the campaign and its executor for one run of ``job``."""
         campaign, executor_spec = decode_campaign_spec(job.spec)
         checkpoint = self.checkpoint_dir / f"{job.job_id}.jsonl"
-        resume = checkpoint if checkpoint.exists() else None
-        obs = Observability(metrics=job.metrics)
-        kind = executor_spec["kind"]
-        if kind == "serial":
-            # The reference path: no checkpoint — a re-run is cheap and
-            # deterministic, which is its own resume story.
-            return campaign, SerialExecutor(obs=obs, interrupt=job.interrupt)
-        if kind == "parallel":
-            return campaign, ParallelExecutor(
-                jobs=executor_spec["jobs"],
-                checkpoint=checkpoint,
-                resume=resume,
-                chaos=self.job_chaos,
-                obs=obs,
-                interrupt=job.interrupt,
-            )
-        return campaign, DistributedExecutor(
-            host=executor_spec["host"],
-            port=executor_spec["port"],
-            expected_workers=executor_spec["workers"],
-            lease_seconds=executor_spec["lease_seconds"],
-            heartbeat_interval=executor_spec["heartbeat_interval"],
-            join_timeout=executor_spec["join_timeout"],
-            checkpoint=str(checkpoint),
-            resume=str(resume) if resume is not None else None,
-            chaos=self.job_chaos,
-            obs=obs,
+        return campaign, build_executor(
+            executor_spec,
+            obs=Observability(metrics=job.metrics),
             interrupt=job.interrupt,
+            checkpoint=checkpoint,
+            resume=checkpoint if checkpoint.exists() else None,
+            chaos=self.job_chaos,
         )
 
     def result_path(self, job: Job) -> Path:

@@ -297,6 +297,107 @@ class TestCampaignCommand:
         )
         assert stripped.strip() == plain.strip()
 
+    @pytest.mark.parametrize(
+        "flags, path",
+        [
+            (["--bit", "99"], "fault"),
+            (["--bit", "-1"], "fault.bit"),
+            (["--signal", "a_reg", "--bit", "12"], "fault"),
+            (["--rows", "0"], "mesh.rows"),
+        ],
+    )
+    def test_bad_flags_fail_with_the_spec_field_path(self, flags, path, capsys):
+        code = main(["campaign", "--size", "4", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert "Traceback" not in err
+
+    def test_nonpositive_num_random_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--sites", "random", "--num-random", "0"])
+        assert excinfo.value.code == 2
+        assert "--num-random" in capsys.readouterr().err
+
+
+class _Launched(Exception):
+    """Raised by a stub executor to capture what the CLI would run."""
+
+
+#: The flag combinations of TestCampaignCommand, plus a fabric launch.
+LAUNCHES = [
+    ["--rows", "4", "--cols", "4", "--size", "4", "--dataflow", "WS"],
+    ["--rows", "4", "--cols", "4", "--op", "conv", "--size", "6",
+     "--kernel", "3,3,2,3", "--sites", "diagonal"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "--json", "r.json",
+     "--dict", "d.json"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "--sites", "random",
+     "--num-random", "5"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "-j", "2"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "-j", "2",
+     "--checkpoint", "c.jsonl"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "-j", "2",
+     "--resume", "c.jsonl"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "--checkpoint", "c.jsonl"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "-j", "2",
+     "--shard-timeout", "120", "--max-retries", "1", "--on-error", "abort"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "--trace", "t.json",
+     "--metrics", "m.prom", "--progress"],
+    ["--rows", "4", "--cols", "4", "--size", "4", "--fabric-listen",
+     "127.0.0.1:0", "--fabric-workers", "3", "--lease-seconds", "6",
+     "--heartbeat-interval", "1.5", "--join-timeout", "9"],
+]
+
+
+class TestOneLaunchSeam:
+    """A CLI launch and an HTTP launch of the same flags are the same
+    campaign: the spec document the CLI builds, decoded the way the
+    service decodes a request body, re-encodes to what the CLI runs."""
+
+    @pytest.mark.parametrize("flags", LAUNCHES)
+    def test_cli_spec_decodes_to_the_cli_campaign(self, flags, monkeypatch):
+        import repro.cli as cli
+        from repro.core.serialize import (
+            decode_campaign_spec,
+            encode_campaign_spec,
+        )
+
+        class Stub:
+            def __init__(self, executor_spec, **wiring):
+                self.executor_spec = executor_spec
+
+            def execute(self, campaign):
+                raise _Launched(campaign, self.executor_spec)
+
+        monkeypatch.setattr(cli, "build_executor", Stub)
+        with pytest.raises(_Launched) as launched:
+            main(["campaign", *flags])
+        ran, ran_executor = launched.value.args
+        args = build_parser().parse_args(["campaign", *flags])
+        document = cli._campaign_spec(args)
+        body = json.loads(json.dumps(document))  # what an HTTP client sends
+        served, served_executor = decode_campaign_spec(body)
+        assert encode_campaign_spec(served, served_executor) == (
+            encode_campaign_spec(ran, ran_executor)
+        )
+
+    @pytest.mark.parametrize(
+        "flags, kind",
+        [
+            (["-j", "1", "--checkpoint", "c.jsonl"],
+             {"kind": "parallel", "jobs": 1}),
+            (["--resume", "c.jsonl"], {"kind": "parallel", "jobs": 1}),
+            (["-j", "3"], {"kind": "parallel", "jobs": 3}),
+            ([], {"kind": "serial"}),
+        ],
+    )
+    def test_flags_pick_the_executor_kind(self, flags, kind):
+        from repro.cli import _campaign_spec
+
+        args = build_parser().parse_args(["campaign", *flags])
+        assert _campaign_spec(args)["executor"] == kind
+
 
 class TestPredictCommand:
     def test_prediction_rendering(self, capsys):
