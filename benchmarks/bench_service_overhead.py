@@ -19,6 +19,15 @@ The measured numbers go to ``BENCH_service_overhead.json`` at the repo
 root, and the fetched artefact must rebuild field-for-field identical
 to the direct run — the overhead pin is meaningless if the service
 returned different science.
+
+A second row records what a tiny ``parallel`` job costs on a warm
+server, where per-job fixed costs dominate: a random-fill 16x16 WS
+analytic campaign with ``{"kind": "parallel", "jobs": 2}``, each job a
+fresh seed, on the server's resident pool. It reports the median
+submit→result milliseconds over ``POOL_JOBS`` jobs next to the median
+direct serial run of the same kind of campaign. It is context for the
+resident pool, not a pin: on the analytic tier a 2-process job still
+costs more than the serial run it splits.
 """
 
 import json
@@ -45,6 +54,9 @@ MESH = MeshConfig.paper()
 WORKLOAD = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 REPEATS = 3
 OVERHEAD_CEILING = 1.25
+#: Timed jobs (and direct runs) in the resident-pool row, after warm-up.
+POOL_JOBS = 24
+POOL_WARMUP = 2
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_service_overhead.json"
 
 SPEC = {
@@ -53,6 +65,26 @@ SPEC = {
     "engine": "cycle",
     "executor": {"kind": "serial"},
 }
+
+
+def pool_spec(seed: int) -> dict:
+    """The resident-pool row's job: a fresh random operand seed each."""
+    return {
+        "mesh": {"rows": 16, "cols": 16},
+        "workload": {
+            "op": "gemm", "m": 16, "k": 16, "n": 16, "dataflow": "WS",
+            "fill": "random", "seed": seed,
+        },
+        "engine": "analytic",
+        "executor": {"kind": "parallel", "jobs": 2},
+    }
+
+
+def record(row: dict) -> None:
+    """Merge ``row`` into the artefact, keeping the other row's keys."""
+    current = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
+    current.update(row)
+    ARTIFACT.write_text(json.dumps(current, indent=2) + "\n")
 
 
 def make_campaign() -> Campaign:
@@ -84,13 +116,13 @@ def run_direct():
     return make_campaign().run(SerialExecutor())
 
 
-def run_service(port: int) -> dict:
+def run_service(port: int, spec: dict = SPEC) -> dict:
     """One submit→result cycle over HTTP; returns the result artefact."""
     import urllib.request
 
     base = f"http://127.0.0.1:{port}"
     request = urllib.request.Request(
-        f"{base}/campaigns", data=json.dumps(SPEC).encode(), method="POST"
+        f"{base}/campaigns", data=json.dumps(spec).encode(), method="POST"
     )
     with urllib.request.urlopen(request, timeout=60) as response:
         assert response.status == 201
@@ -148,7 +180,7 @@ def test_service_overhead(benchmark):
     print(f"{'service':>8}  {service_best:>8.3f}  {overhead:>9.3f}")
     print(f"ceiling: {OVERHEAD_CEILING}")
 
-    ARTIFACT.write_text(json.dumps({
+    record({
         "schema_version": SCHEMA_VERSION,
         "bench": "service_overhead",
         "workload": WORKLOAD.describe(),
@@ -160,7 +192,7 @@ def test_service_overhead(benchmark):
         "overhead": overhead,
         "ceiling": OVERHEAD_CEILING,
         "cores": cores,
-    }, indent=2) + "\n")
+    })
     print(f"written: {ARTIFACT.name}")
 
     # Identity guarantee: the front door changes nothing. The artefact
@@ -181,3 +213,60 @@ def test_service_overhead(benchmark):
     )
 
     run_once(benchmark, run_direct)
+
+
+def test_resident_pool_job(benchmark):
+    """Submit→result of tiny ``parallel`` jobs on a warm server."""
+    state_dir = tempfile.mkdtemp(prefix="bench-service-pool-")
+    service, port, thread = start_service(state_dir)
+    try:
+        for seed in range(POOL_WARMUP):  # starts the resident pool
+            run_service(port, pool_spec(seed))
+        served, direct = [], []
+        artefact = None
+        for index in range(POOL_JOBS):
+            seed = POOL_WARMUP + 2 * index  # fresh golden runs both ways
+            start = time.perf_counter()
+            artefact = run_service(port, pool_spec(seed))
+            served.append(time.perf_counter() - start)
+            campaign, _ = decode_campaign_spec(pool_spec(seed + 1))
+            start = time.perf_counter()
+            campaign.run(SerialExecutor())
+            direct.append(time.perf_counter() - start)
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+
+    service_ms = 1000 * float(np.median(served))
+    direct_ms = 1000 * float(np.median(direct))
+    cores = parallel_capacity()
+    print(banner(
+        "Resident-pool service job — 16x16 WS GEMM, analytic engine, "
+        f"parallel jobs 2, warm server ({cores} core(s) available)"
+    ))
+    print(f"{'path':>14}  {'median ms':>9}")
+    print(f"{'direct serial':>14}  {direct_ms:>9.1f}")
+    print(f"{'service job':>14}  {service_ms:>9.1f}")
+    record({"resident_pool": {
+        "workload": "GEMM 16x16x16, WS, random",
+        "engine": "analytic",
+        "executor": {"kind": "parallel", "jobs": 2},
+        "jobs": POOL_JOBS,
+        "service_median_ms": service_ms,
+        "direct_serial_median_ms": direct_ms,
+        "cores": cores,
+    }})
+    print(f"written: {ARTIFACT.name}")
+
+    # The last job's artefact rebuilds to the serial run of its spec.
+    seed = POOL_WARMUP + 2 * (POOL_JOBS - 1)
+    campaign, _ = decode_campaign_spec(pool_spec(seed))
+    rebuilt = campaign_result_from_record(artefact, campaign)
+    reference, _ = decode_campaign_spec(pool_spec(seed))
+    direct_result = reference.run(SerialExecutor())
+    assert rebuilt.census() == direct_result.census()
+    assert [e.site for e in rebuilt.experiments] == [
+        e.site for e in direct_result.experiments
+    ]
+
+    run_once(benchmark, reference.run, SerialExecutor())

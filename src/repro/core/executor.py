@@ -412,12 +412,37 @@ def _run_shard(
     return records, recorder.drain()
 
 
+def _exit_with_parent() -> None:
+    """Pool-child initializer: exit as soon as the parent process dies.
+
+    A resident pool outlives any one campaign, so a parent killed
+    without its shutdown path (SIGKILL, the OOM killer) would otherwise
+    leave its children idle for good. The parent's sentinel becomes
+    ready only once the parent is gone.
+    """
+    parent = multiprocessing.parent_process()
+
+    def _watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=_watch, daemon=True).start()
+
+
 class WorkerPool:
     """A process pool of fixed width that runs shards under the setup
     token of the last :meth:`adopt` (see the plumbing notes above), so
     switching campaigns costs a token swap, not a pool restart.
     ``context`` names the multiprocessing start method (``None`` is the
     platform default); children start when the first shards arrive.
+
+    Whoever builds a pool owns it and stops it. A
+    :class:`ParallelExecutor` without one builds and stops a pool per
+    ``execute()``; one handed a pool (the service's resident pool, the
+    study's pool for its grid, a fabric agent's pool) adopts each
+    campaign on it, starts it only when it is not running, and leaves it
+    running after a clean end. An unclean end (interrupt, exception)
+    kills its children, and the next campaign starts fresh ones.
     """
 
     def __init__(self, width: int, context: str | None = None) -> None:
@@ -447,9 +472,15 @@ class WorkerPool:
         """The pool's child processes (none before the first shard)."""
         return list((getattr(self._pool, "_processes", None) or {}).values())
 
+    @property
+    def running(self) -> bool:
+        """Started and not stopped since (children may still be unborn)."""
+        return self._pool is not None
+
     def start(self) -> None:
         self._pool = ProcessPoolExecutor(
-            max_workers=self.width, mp_context=self.context
+            max_workers=self.width, mp_context=self.context,
+            initializer=_exit_with_parent,
         )
 
     def submit(self, sites: list[tuple[int, int]]) -> Future:
@@ -718,9 +749,10 @@ class _ShardIngest:
 class _ShardDispatcher(_ShardIngest):
     """The failure-aware scheduling loop of :class:`ParallelExecutor`.
 
-    Owns the process pool and the pending-task queue for one
-    ``execute()`` call, and leases each submitted future to the pool
-    until ``shard_timeout`` (never renewed); implements retry/backoff,
+    Runs the executor's pool (or one of its own, stopped at the end) and
+    owns the pending-task queue for one ``execute()`` call, and leases
+    each submitted future to the pool until ``shard_timeout`` (never
+    renewed); implements retry/backoff,
     the watchdog, pool reconstitution, suspect isolation, bisection,
     quarantine, and graceful shutdown. Scheduling is deterministic up to
     OS timing: the queue is FIFO, backoff delays come from the
@@ -741,7 +773,9 @@ class _ShardDispatcher(_ShardIngest):
             executor, campaign, golden, plan, geometry, pending, stream,
             lease_seconds=executor.shard_timeout,
         )
-        self.pool = WorkerPool(executor.jobs)
+        #: The executor's pool, or one of this dispatch's own.
+        self.owned = executor.pool is None
+        self.pool = WorkerPool(executor.jobs) if self.owned else executor.pool
         self.pool.adopt(
             campaign, golden, plan, geometry, executor.chaos,
             self.obs.recorder.armed,
@@ -782,7 +816,8 @@ class _ShardDispatcher(_ShardIngest):
     ]:
         clean = False
         with self._signal_guard():
-            self.pool.start()
+            if not self.pool.running:
+                self.pool.start()
             try:
                 while self.queue or self.leases:
                     interrupt = self.executor.interrupt
@@ -795,7 +830,8 @@ class _ShardDispatcher(_ShardIngest):
                     self._check_deadlines()
                 clean = True
             finally:
-                self.pool.stop(kill=not clean)
+                if self.owned or not clean:
+                    self.pool.stop(kill=not clean)
         return self._hand_over()
 
     def _suspect_mode(self) -> bool:
@@ -983,6 +1019,10 @@ class ParallelExecutor:
         checkpoint and raise :class:`CampaignInterrupted` with a
         synthetic ``SIGINT`` — the service's cancel/drain seam, useful
         anywhere signal delivery is unavailable (non-main threads).
+    pool:
+        A :class:`WorkerPool` of width ``jobs`` that the caller owns and
+        keeps across campaigns (see its docstring). ``None`` (default)
+        builds a fresh pool per ``execute()`` and stops it after.
     """
 
     def __init__(
@@ -998,9 +1038,14 @@ class ParallelExecutor:
         chaos: ChaosSpec | None = None,
         obs: Observability | None = None,
         interrupt: threading.Event | None = None,
+        pool: WorkerPool | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if pool is not None and pool.width != jobs:
+            raise ValueError(
+                f"pool width {pool.width} does not match jobs={jobs}"
+            )
         if shards_per_worker < 1:
             raise ValueError(
                 f"shards_per_worker must be >= 1, got {shards_per_worker}"
@@ -1031,6 +1076,7 @@ class ParallelExecutor:
         #: Cooperative-interrupt event: when set by another thread, the
         #: dispatcher runs the same drain-and-raise path a SIGINT would.
         self.interrupt = interrupt
+        self.pool = pool
 
     # ------------------------------------------------------------------
     def _restore(
@@ -1242,6 +1288,7 @@ def build_executor(
     obs: Observability | None = None,
     interrupt: threading.Event | None = None,
     announce: Callable[[str, int], None] | None = None,
+    pool: WorkerPool | None = None,
     **pooled: Any,
 ) -> CampaignExecutor:
     """The one place an executor spec becomes an executor.
@@ -1249,7 +1296,8 @@ def build_executor(
     ``executor_spec`` is the normalised dict ``decode_campaign_spec``
     returns; the keywords are per-run wiring the caller owns. ``obs`` and
     ``interrupt`` reach every kind, ``announce(host, port)`` the fabric,
-    and ``pooled`` (the :class:`ParallelExecutor` keywords: checkpoint,
+    ``pool`` (a caller-owned :class:`WorkerPool`) the parallel kind, and
+    ``pooled`` (the :class:`ParallelExecutor` keywords: checkpoint,
     resume, chaos, failure policy) the pooled kinds only. A serial spec
     never checkpoints: it runs in process, and a re-run is its resume.
     """
@@ -1258,7 +1306,8 @@ def build_executor(
         return SerialExecutor(obs=obs, interrupt=interrupt)
     if kind == "parallel":
         return ParallelExecutor(
-            jobs=executor_spec["jobs"], obs=obs, interrupt=interrupt, **pooled
+            jobs=executor_spec["jobs"], obs=obs, interrupt=interrupt,
+            pool=pool, **pooled,
         )
     if kind == "fabric":
         # Imported here: the fabric coordinator builds on this module.

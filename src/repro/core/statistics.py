@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import norm
-
 from repro.core.campaign import ExperimentResult
 
 __all__ = [
@@ -43,6 +41,10 @@ __all__ = [
 def _z_score(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    # Imported here: scipy.stats is most of the package's import time,
+    # which every spawned pool child and CLI start would otherwise pay.
+    from scipy.stats import norm
+
     return float(norm.ppf(0.5 + confidence / 2.0))
 
 

@@ -24,7 +24,7 @@ from repro.core.campaign import (
     GemmWorkload,
 )
 from repro.core.classifier import PatternClass
-from repro.core.executor import build_executor
+from repro.core.executor import WorkerPool, build_executor
 from repro.core.predictor import predict_classes
 from repro.core.reports import format_markdown_table, format_table
 from repro.core.sampling import paper_configurations
@@ -180,8 +180,8 @@ def run_paper_study(
     jobs:
         Worker-process count per campaign; ``1`` keeps the serial
         reference path, larger values shard each campaign's site sweep
-        over a process pool (the report is identical either way — see
-        :mod:`repro.core.executor`).
+        over one process pool that serves the whole grid (the report is
+        identical either way — see :mod:`repro.core.executor`).
     shard_timeout, max_retries, on_error:
         Failure policy forwarded to the parallel executor (ignored when
         ``jobs == 1``); see :mod:`repro.core.resilience` and
@@ -193,9 +193,11 @@ def run_paper_study(
         ``None`` (default) runs unobserved; either way the report is
         identical.
     """
+    pool = WorkerPool(jobs) if jobs > 1 else None
     executor = build_executor(
         {"kind": "parallel", "jobs": jobs} if jobs > 1 else {"kind": "serial"},
         obs=obs,
+        pool=pool,
         shard_timeout=shard_timeout,
         max_retries=max_retries,
         on_error=on_error,
@@ -203,24 +205,28 @@ def run_paper_study(
     mesh = mesh or MeshConfig.paper()
     report = StudyReport(mesh=mesh, fault_spec=fault_spec)
     seen: set[str] = set()
-    for rq, workloads in paper_configurations(fill=fill).items():
-        for workload in workloads:
-            description = workload.describe()
-            if description in seen:
-                continue  # the grid shares configs across RQs
-            seen.add(description)
-            if not include_large and "112" in description:
-                continue
-            result = Campaign(
-                mesh, workload, fault_spec=fault_spec, sites=sites,
-                engine=engine,
-            ).run(executor=executor)
-            report.entries.append(
-                StudyEntry(
-                    research_question=rq,
-                    configuration=description,
-                    result=result,
-                    expected_class=_expected_class(workload, result, mesh),
+    try:
+        for rq, workloads in paper_configurations(fill=fill).items():
+            for workload in workloads:
+                description = workload.describe()
+                if description in seen:
+                    continue  # the grid shares configs across RQs
+                seen.add(description)
+                if not include_large and "112" in description:
+                    continue
+                result = Campaign(
+                    mesh, workload, fault_spec=fault_spec, sites=sites,
+                    engine=engine,
+                ).run(executor=executor)
+                report.entries.append(
+                    StudyEntry(
+                        research_question=rq,
+                        configuration=description,
+                        result=result,
+                        expected_class=_expected_class(workload, result, mesh),
+                    )
                 )
-            )
+    finally:
+        if pool is not None:
+            pool.stop()
     return report

@@ -4,9 +4,11 @@
 ``progress`` event per interval — the machine-readable progress line
 (done/total, sites/s, ETA, retries, quarantined — see
 :func:`repro.obs.progress.progress_snapshot`) — then a terminal ``end``
-event once the job leaves the running states. SSE is plain HTTP, so the
-stream needs no client library beyond a line reader; every drain sits
-under the same ``wait_for`` deadline as the rest of the package.
+event as soon as the job reaches a terminal state: every state
+transition wakes the stream, so ``end`` does not wait for the next
+interval. SSE is plain HTTP, so the stream needs no client library
+beyond a line reader; every drain sits under the same ``wait_for``
+deadline as the rest of the package.
 """
 
 from __future__ import annotations
@@ -48,17 +50,22 @@ async def stream_job(
 
     The caller has already sent :data:`SSE_HEADER`. A frame is emitted
     immediately (so a subscriber to an already-finished job still gets
-    one snapshot), then every ``interval`` seconds, then the ``end``
-    frame. Client disconnects surface as ``ConnectionError`` from the
-    drain and are the caller's to swallow.
+    one snapshot), then every ``interval`` seconds or on the job's next
+    state transition, whichever comes first, then the ``end`` frame.
+    Client disconnects surface as ``ConnectionError`` from the drain and
+    are the caller's to swallow.
     """
     while True:
+        changed = job.changed  # replaced on every transition
         snapshot = manager.progress_snapshot(job)
         writer.write(format_event("progress", snapshot))
         await asyncio.wait_for(writer.drain(), io_timeout)
         if manager.is_terminal(job):
             break
-        await asyncio.sleep(interval)
+        try:
+            await asyncio.wait_for(changed.wait(), interval)
+        except (asyncio.TimeoutError, TimeoutError):
+            pass
     writer.write(format_event("end", {
         "job_id": job.job_id,
         "state": job.state,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import FaultSpec
+from repro.core.executor import WorkerPool
 from repro.core.sampling import diagonal_sites
 from repro.core.study import run_paper_study
 from repro.systolic import MeshConfig
@@ -36,6 +37,25 @@ class TestStudyExecution:
         assert fast_report.all_match_theory
         for entry in fast_report.entries:
             assert entry.matches_theory
+
+    def test_parallel_study_runs_the_grid_on_one_pool(
+        self, fast_report, monkeypatch
+    ):
+        started = []
+        start = WorkerPool.start
+
+        def spy(pool):
+            started.append(pool)
+            start(pool)
+
+        monkeypatch.setattr(WorkerPool, "start", spy)
+        report = run_paper_study(
+            mesh=MESH, sites=diagonal_sites(MESH), include_large=False,
+            jobs=2,
+        )
+        assert report.to_text() == fast_report.to_text()
+        assert len(started) == 1
+        assert not started[0].running
 
     def test_entries_carry_campaign_results(self, fast_report):
         for entry in fast_report.entries:

@@ -11,13 +11,18 @@ executor kind.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
+import gc
 import json
+import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -38,6 +43,8 @@ SPEC = {
     "mesh": {"rows": 4, "cols": 4},
     "workload": {"op": "gemm", "m": 8, "k": 8, "n": 8},
 }
+
+PARALLEL = dict(SPEC, executor={"kind": "parallel", "jobs": 2})
 
 #: A sleep on every site: dilates a job by ~3 s without failing it, so
 #: cancellation tests have a window while the job is running.
@@ -127,6 +134,20 @@ def assert_result_identity(port, job_id, spec=SPEC):
     assert_campaigns_equivalent(reference.run(SerialExecutor()), rebuilt)
 
 
+def pool_pids(service) -> set[int]:
+    """The pids of the service's resident pool children."""
+    return {proc.pid for proc in service.manager.pool.processes}
+
+
+def run_job(port, spec) -> str:
+    """Submit ``spec``, ride its SSE stream to ``end``, check it is done
+    and its artefact matches serial; returns the job id."""
+    _, job = api(port, "POST", "/campaigns", spec)
+    assert stream_events(port, job["job_id"])[-1][1]["state"] == "done"
+    assert_result_identity(port, job["job_id"], spec)
+    return job["job_id"]
+
+
 def free_port() -> int:
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -195,6 +216,14 @@ class TestSubmitToResult:
         for thread in threads:
             thread.join(timeout=30)
 
+    def test_sse_end_arrives_on_the_transition(self, tmp_path):
+        with running_service(tmp_path, sse_interval=5.0) as (_, port):
+            _, job = api(port, "POST", "/campaigns", SPEC)
+            started = time.monotonic()
+            events = stream_events(port, job["job_id"])
+            assert events[-1][1]["state"] == "done"
+            assert time.monotonic() - started < 2.5
+
     def test_stored_spec_is_canonical(self, tmp_path):
         """GET returns the normalised spec: defaults filled, sites explicit."""
         with running_service(tmp_path) as (_, port):
@@ -250,6 +279,102 @@ class TestCancellation:
                 port, "GET", f"/campaigns/{running['job_id']}/result"
             )
             assert status == 409
+
+
+class TestResidentPool:
+    """``parallel`` jobs share one spawn pool for the server's life."""
+
+    def test_consecutive_jobs_share_children(self, tmp_path):
+        with running_service(tmp_path) as (service, port):
+            run_job(port, PARALLEL)
+            first = pool_pids(service)
+            run_job(port, PARALLEL)
+            assert len(first) == 2
+            assert pool_pids(service) == first
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd"
+    )
+    def test_children_hold_no_sockets(self, tmp_path):
+        with running_service(tmp_path) as (service, port):
+            run_job(port, PARALLEL)
+            pids = pool_pids(service)
+            assert pids
+            for pid in pids:
+                fd_dir = f"/proc/{pid}/fd"
+                targets = [
+                    os.readlink(os.path.join(fd_dir, fd))
+                    for fd in os.listdir(fd_dir)
+                ]
+                assert not [t for t in targets if t.startswith("socket:")]
+
+    def test_cancelled_job_leaves_fresh_children(self, tmp_path):
+        with running_service(tmp_path, job_chaos=SLOW_CHAOS) as (
+            service, port,
+        ):
+            _, slow = api(port, "POST", "/campaigns", PARALLEL)
+            deadline = time.monotonic() + 60
+            while not service.manager.pool or len(pool_pids(service)) < 2:
+                assert time.monotonic() < deadline, "pool never started"
+                time.sleep(0.05)
+            killed = pool_pids(service)
+            api(port, "DELETE", f"/campaigns/{slow['job_id']}")
+            wait_for_state(port, slow["job_id"], {"cancelled"})
+            run_job(port, PARALLEL)
+            assert pool_pids(service)
+            assert not pool_pids(service) & killed
+
+    def test_other_width_replaces_the_pool(self, tmp_path):
+        narrow = dict(SPEC, executor={"kind": "parallel", "jobs": 1})
+        with running_service(tmp_path) as (service, port):
+            run_job(port, PARALLEL)
+            wide = service.manager.pool
+            children = wide.processes
+            run_job(port, narrow)
+            assert service.manager.pool.width == 1
+            assert not wide.running
+            assert not any(proc.is_alive() for proc in children)
+
+    def test_close_stops_every_child(self, tmp_path):
+        with running_service(tmp_path) as (service, port):
+            run_job(port, PARALLEL)
+            children = service.manager.pool.processes
+            assert children
+        assert service.manager.pool is None
+        assert not any(proc.is_alive() for proc in children)
+
+
+class TestServiceMemory:
+    def test_finished_results_are_not_kept(self, tmp_path):
+        """A done job's result lives in its artefact, not in the server."""
+        manager = JobManager(tmp_path / "state")
+        manager.open()
+        freed = []
+        write = manager._write_result
+
+        def spy(job, result):
+            freed.append(weakref.ref(result))
+            write(job, result)
+
+        manager._write_result = spy
+
+        async def serve_two() -> None:
+            stop = asyncio.Event()
+            jobs = [manager.submit(SPEC) for _ in range(2)]
+            runner = asyncio.create_task(manager.run(stop))
+            while not all(manager.is_terminal(job) for job in jobs):
+                await asyncio.sleep(0.01)
+            stop.set()
+            await runner
+            assert [job.state for job in jobs] == ["done", "done"]
+
+        try:
+            asyncio.run(serve_two())
+        finally:
+            manager.close()
+        gc.collect()
+        assert len(freed) == 2
+        assert all(ref() is None for ref in freed)
 
 
 class TestBackpressureAndErrors:
