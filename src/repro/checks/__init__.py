@@ -12,16 +12,16 @@ them statically, at two granularities:
   (including the numpy tier's explicit-dtype discipline);
 * **whole-program passes** — :mod:`repro.checks.graph` builds a
   project-wide import/symbol/call graph, on which
-  :mod:`repro.checks.determinism` proves the parallel executor's
-  worker-reachable code free of fork-safety hazards,
+  :mod:`repro.checks.determinism` keeps wall-clock reads and swallowed
+  exceptions off the parallel executor's worker-reachable code,
   :mod:`repro.checks.intervals` proves the MAC datapath's
   INT8×INT8→INT32 bit-width contract by abstract interpretation, and
   :mod:`repro.checks.sockets` proves every networked wait carries a
   deadline;
-* **interprocedural dataflow passes** — :mod:`repro.checks.flow` is a
-  summary-based taint/escape engine over the same graph, powering the
-  exception-contract verifier (:mod:`repro.checks.contracts`) and the
-  golden-purity taint proof (:mod:`repro.checks.purity`).
+* **an interprocedural flow pass** — :mod:`repro.checks.flow` computes
+  which exception types escape each function over the same graph,
+  powering the exception-contract verifier
+  (:mod:`repro.checks.contracts`).
 
 Infrastructure: :mod:`repro.checks.cache` (incremental result cache and
 the ``lint_paths`` orchestrator), :mod:`repro.checks.baseline` (staged
@@ -67,8 +67,7 @@ from repro.checks.rules import (
     get_rule,
 )
 from repro.checks.contracts import CONTRACT_RULES, ExceptionContractRule
-from repro.checks.flow import BOTTOM, EscapeAnalysis, Fact, ForwardTaintAnalysis, Param
-from repro.checks.purity import PURITY_RULES, GoldenPurityRule
+from repro.checks.flow import EscapeAnalysis
 from repro.checks.baseline import (
     apply_baseline,
     baseline_fingerprint,
@@ -104,16 +103,10 @@ __all__ = [
     "ArrayDtypeClosureRule",
     "ALL_RULES",
     "get_rule",
-    # flow engine and passes
-    "BOTTOM",
-    "Fact",
-    "Param",
-    "ForwardTaintAnalysis",
+    # flow analysis and pass
     "EscapeAnalysis",
     "ExceptionContractRule",
-    "GoldenPurityRule",
     "CONTRACT_RULES",
-    "PURITY_RULES",
     # infrastructure
     "DEFAULT_CACHE_PATH",
     "LintCache",

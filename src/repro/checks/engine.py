@@ -288,14 +288,12 @@ def project_rules() -> tuple["ProjectRule", ...]:
     from repro.checks.contracts import CONTRACT_RULES
     from repro.checks.determinism import DETERMINISM_RULES
     from repro.checks.intervals import INTERVAL_RULES
-    from repro.checks.purity import PURITY_RULES
     from repro.checks.sockets import SOCKET_RULES
 
     return (
         *DETERMINISM_RULES,
         *INTERVAL_RULES,
         *CONTRACT_RULES,
-        *PURITY_RULES,
         *SOCKET_RULES,
     )
 

@@ -8,7 +8,7 @@ graph, not of any one file. This module builds that graph once per lint
 run:
 
 * a **symbol table** per module — top-level functions, classes with their
-  methods, import aliases, and the set of module-level bound names;
+  methods, and import aliases;
 * a **call graph** with intraprocedural summaries: every call site in
   every function is resolved to a set of candidate callees. Resolution is
   *conservative* (over-approximate): a call is linked to every definition
@@ -48,35 +48,11 @@ from typing import Iterable, Iterator, Sequence
 from repro.checks.engine import SourceModule, iter_python_files, load_module
 
 __all__ = [
-    "MUTATING_METHODS",
     "CallSite",
     "FunctionInfo",
     "ClassInfo",
     "ProjectGraph",
 ]
-
-
-#: Methods that mutate their receiver in place (used by the determinism
-#: pass to detect writes to module-level containers).
-MUTATING_METHODS = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "popleft",
-        "remove",
-        "reverse",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
 
 
 @dataclass
@@ -183,8 +159,6 @@ class ProjectGraph:
         #: module name -> local name -> (source module, attr) for
         #: ``from X import Y [as Z]``.
         self.from_imports: dict[str, dict[str, tuple[str, str]]] = {}
-        #: module name -> names bound at module top level.
-        self.module_level_names: dict[str, frozenset[str]] = {}
 
         for module in modules:
             name = module.name or module.path.stem
@@ -215,14 +189,12 @@ class ProjectGraph:
     def _collect_symbols(self, mod_name: str, module: SourceModule) -> None:
         aliases: dict[str, str] = {}
         froms: dict[str, tuple[str, str]] = {}
-        top_names: set[str] = set()
         for node in module.tree.body:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     aliases[local] = target
-                    top_names.add(local)
             elif isinstance(node, ast.ImportFrom):
                 source = self._resolve_from_module(mod_name, node)
                 for alias in node.names:
@@ -230,15 +202,12 @@ class ProjectGraph:
                         continue
                     local = alias.asname or alias.name
                     froms[local] = (source, alias.name)
-                    top_names.add(local)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                top_names.add(node.name)
                 qualname = f"{mod_name}.{node.name}"
                 self.functions[qualname] = FunctionInfo(
                     qualname=qualname, module=module, node=node
                 )
             elif isinstance(node, ast.ClassDef):
-                top_names.add(node.name)
                 qualname = f"{mod_name}.{node.name}"
                 info = ClassInfo(qualname=qualname, module=module, node=node)
                 for item in node.body:
@@ -255,18 +224,8 @@ class ProjectGraph:
                             method_qual
                         )
                 self.classes[qualname] = info
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    for name in _target_names(target):
-                        top_names.add(name)
         self.import_aliases[mod_name] = aliases
         self.from_imports[mod_name] = froms
-        self.module_level_names[mod_name] = frozenset(top_names)
 
     @staticmethod
     def _resolve_from_module(mod_name: str, node: ast.ImportFrom) -> str:
@@ -653,10 +612,3 @@ class ProjectGraph:
             },
         }
 
-
-def _target_names(target: ast.expr) -> Iterator[str]:
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)

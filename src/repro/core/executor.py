@@ -12,7 +12,8 @@ This module is the execution engine behind :meth:`Campaign.run`:
   :class:`concurrent.futures.ProcessPoolExecutor`, optionally appends an
   append-only JSONL checkpoint of completed experiments, and can resume
   an interrupted campaign from such a checkpoint instead of restarting.
-* :class:`GoldenCache` — a per-process memo of fault-free golden runs
+* :class:`GoldenCache` — a per-process memo of the
+  :data:`GOLDEN_CACHE_SIZE` most recently used fault-free golden runs,
   keyed by ``(workload, mesh config, engine)``, so repeated campaigns on
   one configuration (the study grid, scaling benches) pay for the golden
   run once. Workers never compute it at all: the parent pickles the
@@ -76,7 +77,7 @@ import signal as _signal_module
 import threading
 import time
 import warnings
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -120,6 +121,7 @@ __all__ = [
     "CampaignExecutor",
     "GoldenCache",
     "GOLDEN_CACHE",
+    "GOLDEN_CACHE_SIZE",
     "SerialExecutor",
     "ParallelExecutor",
     "WorkerPool",
@@ -136,6 +138,11 @@ class CampaignExecutor(Protocol):
         ...
 
 
+#: Golden runs a :class:`GoldenCache` keeps: more than the Table I
+#: grid's 7 configurations, so a study pass never evicts its own.
+GOLDEN_CACHE_SIZE = 16
+
+
 class GoldenCache:
     """Memo of fault-free golden runs, keyed by campaign configuration.
 
@@ -143,11 +150,13 @@ class GoldenCache:
     which subsumes the dataflow and operand policy (both live on the
     workload). Cached arrays are shared between campaigns and are marked
     read-only so accidental mutation fails loudly instead of corrupting a
-    sibling campaign's ground truth.
+    sibling campaign's ground truth. Only the :data:`GOLDEN_CACHE_SIZE`
+    most recently used runs are kept, so a long-lived process (the
+    service, a ``--stay`` agent) does not keep every workload it ran.
     """
 
     def __init__(self) -> None:
-        self._runs: dict[tuple, tuple] = {}
+        self._runs: OrderedDict[tuple, tuple] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._runs)
@@ -170,6 +179,7 @@ class GoldenCache:
                 "repro_golden_cache_hits_total",
                 "Golden runs served from the per-process cache.",
             ).inc()
+            self._runs.move_to_end(key)
         else:
             metrics.counter(
                 "repro_golden_cache_misses_total",
@@ -178,6 +188,8 @@ class GoldenCache:
             golden, plan, geometry = campaign.golden_run()
             golden.setflags(write=False)
             self._runs[key] = (golden, plan, geometry)
+            if len(self._runs) > GOLDEN_CACHE_SIZE:
+                self._runs.popitem(last=False)
         return self._runs[key]
 
 

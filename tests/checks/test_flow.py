@@ -1,13 +1,6 @@
-"""The interprocedural flow engine: taint fixpoint and exception escape."""
+"""The interprocedural flow analysis: exception escape."""
 
-from repro.checks.flow import (
-    BOTTOM,
-    EscapeAnalysis,
-    Fact,
-    ForwardTaintAnalysis,
-    Param,
-    join,
-)
+from repro.checks.flow import EscapeAnalysis
 from repro.checks.graph import ProjectGraph
 
 
@@ -25,145 +18,6 @@ def _class_qual(graph, suffix):
     matches = [q for q in graph.classes if q.endswith(suffix)]
     assert len(matches) == 1, (suffix, matches)
     return matches[0]
-
-
-class TestLattice:
-    def test_join_is_union_with_bottom_identity(self):
-        a: Fact = frozenset({"x", Param(0)})
-        assert join() == BOTTOM
-        assert join(a, BOTTOM) == a
-        assert join(a, frozenset({"y"})) == a | {"y"}
-
-
-class TestTaintSummaries:
-    def test_identity_function_summarises_to_its_param(
-        self, write_module, tmp_path
-    ):
-        write_module(
-            "repro.core.ident",
-            """
-            def ident(x):
-                return x
-
-            def second(a, b):
-                return b
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(graph)
-        assert analysis.summary(_qual(graph, ".ident")) == {Param(0)}
-        assert analysis.summary(_qual(graph, ".second")) == {Param(1)}
-
-    def test_source_construction_mints_constant_label(
-        self, write_module, tmp_path
-    ):
-        write_module(
-            "repro.faults.src",
-            """
-            class Descriptor:
-                def apply(self, value):
-                    return value
-
-            def make():
-                return Descriptor()
-
-            def launder():
-                d = make()
-                wrapped = [d]
-                return wrapped
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(
-            graph,
-            source_classes=[_class_qual(graph, ".Descriptor")],
-            label="fault",
-        )
-        # The label is constant — present regardless of caller arguments —
-        # and survives a container wrap in a transitive caller.
-        assert "fault" in analysis.summary(_qual(graph, ".make"))
-        assert "fault" in analysis.summary(_qual(graph, ".launder"))
-
-    def test_param_substitution_at_call_sites(self, write_module, tmp_path):
-        write_module(
-            "repro.core.subst",
-            """
-            def passthrough(v):
-                return v
-
-            def caller(clean, dirty):
-                return passthrough(dirty)
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(graph)
-        # passthrough's Param(0) is replaced by the *call site's* argument
-        # fact: caller depends on its own second parameter only.
-        assert analysis.summary(_qual(graph, ".caller")) == {Param(1)}
-
-    def test_call_cycle_reaches_a_fixpoint(self, write_module, tmp_path):
-        write_module(
-            "repro.core.cycle",
-            """
-            def ping(x):
-                return pong(x)
-
-            def pong(x):
-                return ping(x)
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(graph)  # must terminate
-        assert analysis.summary(_qual(graph, ".ping")) <= {Param(0)}
-
-    def test_module_constant_env_proves_clean_injector(
-        self, write_module, tmp_path
-    ):
-        write_module(
-            "repro.faults.inj",
-            """
-            class Descriptor:
-                def apply(self, value):
-                    return value
-
-            class Injector:
-                def __init__(self, descriptor=None):
-                    self.descriptor = descriptor
-
-            NO_FAULTS = Injector()
-            ARMED = Injector(Descriptor())
-
-            def golden():
-                return NO_FAULTS
-
-            def faulty():
-                return ARMED
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(
-            graph,
-            source_classes=[_class_qual(graph, ".Descriptor")],
-            label="fault",
-        )
-        # The sanctioned constant stays provably clean; the armed one
-        # carries its constructor argument's taint.
-        assert "fault" not in analysis.summary(_qual(graph, ".golden"))
-        assert "fault" in analysis.summary(_qual(graph, ".faulty"))
-
-    def test_mutating_method_taints_receiver(self, write_module, tmp_path):
-        write_module(
-            "repro.core.mut",
-            """
-            def collect(tainted):
-                out = []
-                out.append(tainted)
-                return out
-            """,
-        )
-        graph = _graph(tmp_path)
-        analysis = ForwardTaintAnalysis(graph)
-        assert Param(0) in analysis.summary(_qual(graph, ".collect"))
 
 
 class TestEscapeAnalysis:

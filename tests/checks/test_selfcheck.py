@@ -75,15 +75,11 @@ def test_full_battery_ran():
         "array-dtype-closure",
     }
     assert {rule.id for rule in project_rules()} == {
-        "worker-global-write",
-        "worker-unordered-iter",
-        "merge-unordered-iter",
         "worker-wall-clock",
         "worker-exception-swallow",
         "interval-escape",
         "mask-closure",
         "exception-contract",
-        "golden-purity",
         "socket-discipline",
     }
     assert len(rule_catalog()) == len(ALL_RULES) + len(project_rules())

@@ -147,6 +147,7 @@ class TestGoldenCache:
             golden[0, 0] = 99
 
     def test_distinct_workloads_get_distinct_entries(self):
+        GOLDEN_CACHE.clear()  # a full cache evicts one entry per miss
         GOLDEN_CACHE.golden_run(
             Campaign(MESH, GemmWorkload.square(4, Dataflow.WEIGHT_STATIONARY))
         )

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.campaign import FaultSpec
-from repro.core.executor import WorkerPool
+from repro.core.executor import GOLDEN_CACHE, WorkerPool
 from repro.core.sampling import diagonal_sites
 from repro.core.study import run_paper_study
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.systolic import MeshConfig
 
 MESH = MeshConfig.paper()
@@ -56,6 +58,24 @@ class TestStudyExecution:
         assert report.to_text() == fast_report.to_text()
         assert len(started) == 1
         assert not started[0].running
+
+    def test_second_pass_serves_every_golden_run_from_the_cache(self):
+        # The Table I grid has 7 distinct configurations: a cold pass
+        # computes each once, and the bounded golden cache keeps all of
+        # them for the next pass.
+        GOLDEN_CACHE.clear()
+        counts = []
+        for _ in range(2):
+            metrics = MetricsRegistry()
+            run_paper_study(
+                mesh=MESH, sites=diagonal_sites(MESH), engine="analytic",
+                obs=Observability(metrics=metrics),
+            )
+            counts.append((
+                metrics.value("repro_golden_cache_hits_total"),
+                metrics.value("repro_golden_cache_misses_total"),
+            ))
+        assert counts == [(0, 7), (7, 0)]
 
     def test_entries_carry_campaign_results(self, fast_report):
         for entry in fast_report.entries:

@@ -27,7 +27,7 @@ import weakref
 import pytest
 
 from repro.core.chaos import ChaosAction, ChaosSpec
-from repro.core.executor import SerialExecutor
+from repro.core.executor import GOLDEN_CACHE, GOLDEN_CACHE_SIZE, SerialExecutor
 from repro.core.fabric.worker import WorkerAgent
 from repro.core.serialize import (
     campaign_result_from_record,
@@ -375,6 +375,35 @@ class TestServiceMemory:
         gc.collect()
         assert len(freed) == 2
         assert all(ref() is None for ref in freed)
+
+
+    def test_golden_cache_stays_bounded(self, tmp_path):
+        """Each job with a fresh seed is a new golden run; a long-lived
+        server keeps only the most recent ones."""
+        manager = JobManager(tmp_path / "state")
+        manager.open()
+        specs = [
+            dict(SPEC, workload=dict(SPEC["workload"], seed=seed),
+                 engine="analytic")
+            for seed in range(GOLDEN_CACHE_SIZE + 4)
+        ]
+
+        async def serve_all() -> None:
+            stop = asyncio.Event()
+            runner = asyncio.create_task(manager.run(stop))
+            for spec in specs:
+                job = manager.submit(spec)
+                while not manager.is_terminal(job):
+                    await asyncio.sleep(0.01)
+                assert job.state == "done"
+            stop.set()
+            await runner
+
+        try:
+            asyncio.run(serve_all())
+        finally:
+            manager.close()
+        assert len(GOLDEN_CACHE) <= GOLDEN_CACHE_SIZE
 
 
 class TestBackpressureAndErrors:

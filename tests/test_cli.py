@@ -522,15 +522,11 @@ class TestLintCommand:
             "unseeded-random",
             "export-hygiene",
             "dataclass-contract",
-            "worker-global-write",
-            "worker-unordered-iter",
-            "merge-unordered-iter",
             "worker-wall-clock",
             "worker-exception-swallow",
             "interval-escape",
             "mask-closure",
             "exception-contract",
-            "golden-purity",
             "socket-discipline",
             "array-dtype-closure",
         ):
