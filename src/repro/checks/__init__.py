@@ -13,9 +13,7 @@ them statically, at two granularities:
 * **whole-program passes** — :mod:`repro.checks.graph` builds a
   project-wide import/symbol/call graph, on which
   :mod:`repro.checks.determinism` keeps wall-clock reads and swallowed
-  exceptions off the parallel executor's worker-reachable code,
-  :mod:`repro.checks.intervals` proves the MAC datapath's
-  INT8×INT8→INT32 bit-width contract by abstract interpretation, and
+  exceptions off the parallel executor's worker-reachable code, and
   :mod:`repro.checks.sockets` proves every networked wait carries a
   deadline;
 * **an interprocedural flow pass** — :mod:`repro.checks.flow` computes

@@ -8,9 +8,9 @@ hashing plus one JSON read:
 
 * **per-file findings** are keyed on the file's own sha256 digest — edit
   one file and only that file is re-linted;
-* **project findings** (determinism, intervals) are keyed on the digest
-  of the *whole file set* — any edit anywhere rebuilds the graph, which
-  is the only sound option for a whole-program analysis;
+* **project findings** (determinism, contracts, sockets) are keyed on
+  the digest of the *whole file set* — any edit anywhere rebuilds the
+  graph, which is the only sound option for a whole-program analysis;
 * both are additionally keyed on a **rules fingerprint** (the digest of
   the ``repro.checks`` package sources), so editing a rule invalidates
   everything it might have produced.

@@ -287,12 +287,10 @@ def project_rules() -> tuple["ProjectRule", ...]:
     # Imported lazily: these modules import this module at load time.
     from repro.checks.contracts import CONTRACT_RULES
     from repro.checks.determinism import DETERMINISM_RULES
-    from repro.checks.intervals import INTERVAL_RULES
     from repro.checks.sockets import SOCKET_RULES
 
     return (
         *DETERMINISM_RULES,
-        *INTERVAL_RULES,
         *CONTRACT_RULES,
         *SOCKET_RULES,
     )

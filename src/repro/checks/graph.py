@@ -1,11 +1,11 @@
 """Whole-program import/symbol graph and conservative call graph.
 
 The per-file rules of :mod:`repro.checks.rules` enforce conventions a
-single AST can witness. The two whole-program passes built on this module
-(:mod:`repro.checks.determinism`, :mod:`repro.checks.intervals`) need more:
-*which code can run inside a worker process* is a property of the call
-graph, not of any one file. This module builds that graph once per lint
-run:
+single AST can witness. The whole-program passes built on this module
+(:mod:`repro.checks.determinism`, :mod:`repro.checks.contracts`,
+:mod:`repro.checks.sockets`) need more: *which code can run inside a
+worker process* is a property of the call graph, not of any one file.
+This module builds that graph once per lint run:
 
 * a **symbol table** per module — top-level functions, classes with their
   methods, and import aliases;
@@ -570,45 +570,3 @@ class ProjectGraph:
                         next_frontier.append(callee)
             frontier = next_frontier
         return chains
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable dump of the graph (``--graph-dump``)."""
-        return {
-            "modules": [
-                {
-                    "name": name,
-                    "path": str(module.path),
-                    "imports": sorted(
-                        set(self.import_aliases[name].values())
-                        | {src for src, _ in self.from_imports[name].values()}
-                    ),
-                }
-                for name, module in sorted(self.modules.items())
-            ],
-            "classes": {
-                qual: {
-                    "methods": dict(sorted(cls.methods.items())),
-                    "attr_types": {
-                        attr: list(types)
-                        for attr, types in sorted(cls.attr_types.items())
-                    },
-                }
-                for qual, cls in sorted(self.classes.items())
-            },
-            "functions": {
-                qual: {
-                    "internal_calls": sorted(
-                        {t for site in info.calls for t in site.targets}
-                    ),
-                    "external_calls": sorted(
-                        {
-                            site.external
-                            for site in info.calls
-                            if site.external is not None
-                        }
-                    ),
-                }
-                for qual, info in sorted(self.functions.items())
-            },
-        }
-

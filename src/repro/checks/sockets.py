@@ -18,8 +18,9 @@ statically, in two sweeps:
   timeout — and any ``wait_for`` whose timeout is literally ``None`` is
   flagged too, since that is an unbounded read with extra steps.
 * **Worker/job-closure sync sweep** — the closure reachable from the
-  discovered worker entries (the same entry discovery the fork-safety
-  battery uses, so the fabric agent's pool shards are covered) *plus* the
+  discovered worker entries (the same entry discovery the worker-path
+  rules of :mod:`repro.checks.determinism` use, so the fabric agent's
+  pool shards are covered) *plus* the
   service's job entry (``repro.service.jobs._run_job``) must not open
   sockets at all: no ``socket.socket()``, no
   ``socket.create_connection()`` without an explicit ``timeout=``, no
@@ -58,8 +59,8 @@ SERVICE_PACKAGE = "repro.service"
 #: Dotted packages whose modules the async sweep covers.
 SWEPT_PACKAGES = (FABRIC_PACKAGE, SERVICE_PACKAGE)
 
-#: Additional sync-sweep entry points beyond the fork-safety battery's
-#: worker entries: the service's job runner, whose reachable closure
+#: Additional sync-sweep entry points beyond the discovered worker
+#: entries: the service's job runner, whose reachable closure
 #: executes campaigns on a thread and must stay socket-free likewise.
 JOB_ENTRY_QUALNAMES = ("repro.service.jobs._run_job",)
 

@@ -33,13 +33,12 @@ Four subcommands mirror the workflows of the paper:
 ``repro-fi lint``
     Run the repo's static analysis battery (:mod:`repro.checks`) over
     source paths: per-file invariant rules plus the whole-program
-    determinism, bit-width interval, and dataflow/contract passes.
-    Incremental by default (``--no-cache`` disables), with ``--jobs/-j``
-    to fan the per-file battery over worker processes, ``--format
-    sarif`` for code-scanning upload, ``--baseline`` /
-    ``--fail-on new`` for staged adoption against a committed baseline,
-    and ``--graph-dump`` to inspect the project call graph. Non-zero
-    exit on findings.
+    determinism, dataflow/contract and socket passes. Incremental by
+    default (``--no-cache`` disables), with ``--jobs/-j`` to fan the
+    per-file battery over worker processes, ``--format sarif`` for
+    code-scanning upload, and ``--baseline`` / ``--fail-on new`` for
+    staged adoption against a committed baseline. Non-zero exit on
+    findings.
 
 Examples
 --------
@@ -556,12 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: .repro-lint-cache.json in the working directory)",
     )
     lint.add_argument(
-        "--graph-dump",
-        metavar="PATH",
-        help="write the project import/symbol/call graph as JSON to PATH "
-        "('-' for stdout) and exit",
-    )
-    lint.add_argument(
         "--jobs",
         "-j",
         type=_positive_int,
@@ -912,22 +905,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
         paths = [str(default)]
-    if args.graph_dump:
-        import json as _json
-
-        from repro.checks.graph import ProjectGraph
-
-        try:
-            dump = _json.dumps(ProjectGraph.build(paths).to_dict(), indent=2)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.graph_dump == "-":
-            print(dump)
-        else:
-            Path(args.graph_dump).write_text(dump + "\n")
-            print(f"graph written to {args.graph_dump}")
-        return 0
     baseline_path = args.baseline
     if args.fail_on == "new" and not baseline_path:
         baseline_path = "lint-baseline.json"

@@ -168,24 +168,6 @@ class TestCallableRefs:
         )
 
 
-class TestSerialisation:
-    def test_to_dict_shape(self, write_module, tmp_path):
-        write_module(
-            "repro.core.dump",
-            """
-            def f():
-                g()
-
-            def g():
-                pass
-            """,
-        )
-        graph = ProjectGraph.build([tmp_path])
-        raw = graph.to_dict()
-        assert "modules" in raw and "functions" in raw
-        assert "repro.core.dump.f" in raw["functions"]
-
-
 class TestEdgeCases:
     def test_decorated_function_is_collected_and_resolved(
         self, write_module, tmp_path

@@ -4,11 +4,10 @@ This is the acceptance gate of the checks subsystem — every invariant rule
 runs over ``src/repro`` itself, so any future change that breaks a
 contract (a float in the datapath, a raw signal literal, an unseeded RNG,
 a drifting ``__all__``, an unfrozen contract dataclass, an implicit
-platform-default dtype in the vectorised numpy tier, a fork-safety hazard
-on a worker path, a signal drive that escapes its width, a generic raise
-escaping to a campaign entry, fault taint reaching the golden slice, an
-unbounded socket wait) fails the suite. True positives get fixed
-in-source, never baselined here.
+platform-default dtype in the vectorised numpy tier, a wall-clock read
+or a swallowed exception on a worker path, a generic raise escaping to a
+campaign entry, an unbounded socket wait) fails the suite. True positives
+get fixed in-source, never baselined here.
 """
 
 from pathlib import Path
@@ -21,14 +20,9 @@ from repro.checks import (
     rule_catalog,
     run_checks,
 )
-from repro.checks.graph import ProjectGraph
-from repro.checks.intervals import verify_intervals
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
-
-#: Every signal the MAC datapath registers; each must get a drive proof.
-MAC_SIGNALS = {"a_reg", "b_reg", "product", "sum"}
 
 
 def test_package_root_exists():
@@ -51,19 +45,6 @@ def test_parallel_lint_matches_serial():
     assert run_checks([PACKAGE_ROOT], jobs=2) == run_checks([PACKAGE_ROOT])
 
 
-def test_mac_drive_obligations_all_discharged():
-    graph = ProjectGraph.build([PACKAGE_ROOT])
-    findings, proofs = verify_intervals(graph)
-    assert findings == [], "\n" + render_text(findings)
-    proved = {proof.signal for proof in proofs}
-    assert MAC_SIGNALS <= proved, f"unproved signals: {MAC_SIGNALS - proved}"
-    # The paper's datapath containment fact, statically derived: an
-    # INT8xINT8 product can never exceed [-16256, 16384] and therefore
-    # always fits the INT32 accumulator without wrapping.
-    product = next(p for p in proofs if p.signal == "product")
-    assert (product.interval.lo, product.interval.hi) == (-16256, 16384)
-
-
 def test_full_battery_ran():
     # Guard against the self-check silently passing because rules vanished.
     assert {rule.id for rule in ALL_RULES} == {
@@ -77,8 +58,6 @@ def test_full_battery_ran():
     assert {rule.id for rule in project_rules()} == {
         "worker-wall-clock",
         "worker-exception-swallow",
-        "interval-escape",
-        "mask-closure",
         "exception-contract",
         "socket-discipline",
     }

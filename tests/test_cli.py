@@ -524,8 +524,6 @@ class TestLintCommand:
             "dataclass-contract",
             "worker-wall-clock",
             "worker-exception-swallow",
-            "interval-escape",
-            "mask-closure",
             "exception-contract",
             "socket-discipline",
             "array-dtype-closure",
@@ -557,21 +555,6 @@ class TestLintCommand:
         assert results[0]["ruleId"] == "export-hygiene"
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
         assert rules[results[0]["ruleIndex"]]["id"] == "export-hygiene"
-
-    def test_graph_dump_to_stdout(self, capsys):
-        code = main(["lint", str(PACKAGE_ROOT), "--graph-dump", "-"])
-        dump = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "functions" in dump and "modules" in dump
-
-    def test_graph_dump_to_file(self, tmp_path, capsys):
-        out_path = tmp_path / "graph.json"
-        code = main(
-            ["lint", str(PACKAGE_ROOT), "--graph-dump", str(out_path)]
-        )
-        assert code == 0
-        assert "graph written" in capsys.readouterr().out
-        assert "functions" in json.loads(out_path.read_text())
 
     def test_baseline_roundtrip(self, tmp_path, capsys):
         target = tmp_path / "loose.py"
