@@ -31,7 +31,9 @@ in the benchmark's ``study_analytic`` workload), its time and each
 configuration's campaign time, median of interleaved passes; and the
 peak RSS of one Conv 112 3x3x3x8 WS campaign with patterns kept,
 measured in a fresh child process next to that process's RSS after
-import (read from Linux's ``/proc/self/status``).
+import (read from Linux's ``/proc/self/status``). Run as a script with a
+limit in MB, the bench runs that probe alone and fails when the peak
+exceeds the after-import RSS by more than the limit (CI's memory gate).
 
 Numbers land in ``BENCH_analytic_engine.json`` at the repo root.
 """
@@ -174,6 +176,21 @@ def _executor_rows() -> list[dict]:
     return rows
 
 
+def conv112_rss() -> dict:
+    """Run :data:`CONV_112_RSS` in a fresh child process; its RSS after
+    import and its peak RSS, in MB."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", CONV_112_RSS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
 def _study_row() -> dict:
     """Warm serial Table I study on the analytic engine, and the Conv 112
     campaign's peak RSS in a child process."""
@@ -194,16 +211,7 @@ def _study_row() -> dict:
             start = time.perf_counter()
             Campaign(MESH, workload, engine="analytic").run()
             per_config[name].append(time.perf_counter() - start)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", CONV_112_RSS],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    rss = json.loads(child.stdout.strip().splitlines()[-1])
+    rss = conv112_rss()
     return {
         "study_ms": 1e3 * statistics.median(study),
         "sites": sum(len(e.result.experiments) for e in report.entries),
@@ -314,3 +322,17 @@ def test_analytic_speedup(benchmark):
     run_once(
         benchmark, make_campaign(Dataflow.WEIGHT_STATIONARY, "analytic").run
     )
+
+
+if __name__ == "__main__":
+    # The memory gate alone: ``python bench_analytic_engine.py LIMIT_MB``
+    # runs the Conv 112 probe and exits 1 when its peak RSS exceeds its
+    # RSS after import by more than LIMIT_MB.
+    limit = float(sys.argv[1])
+    rss = conv112_rss()
+    growth = rss["peak_mb"] - rss["after_import_mb"]
+    print(
+        f"Conv 112 campaign peak RSS: {rss['peak_mb']:.0f} MB, "
+        f"{growth:.0f} MB over import (limit {limit:.0f} MB)"
+    )
+    sys.exit(0 if growth <= limit else 1)

@@ -65,9 +65,6 @@ class CallSite:
     #: Dotted external name (``"time.perf_counter"``) when the call leaves
     #: the analysed tree; None for purely internal or unresolvable calls.
     external: str | None = None
-    #: True when the receiver type was unknown and ``targets`` is the
-    #: every-method-of-this-name fallback.
-    fallback: bool = False
 
 
 @dataclass
@@ -473,7 +470,7 @@ class ProjectGraph:
             # Unknown receiver: conservatively link every method with
             # this name anywhere in the project.
             fallback = tuple(sorted(self.methods_by_name.get(func.attr, ())))
-            return CallSite(node=node, targets=fallback, fallback=bool(fallback))
+            return CallSite(node=node, targets=fallback)
         return CallSite(node=node)
 
     def _receiver_classes(

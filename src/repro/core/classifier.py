@@ -25,7 +25,7 @@ input-stationary dataflow the paper names but does not evaluate
 columns, so a stuck-at fault corrupts an output row, the exact dual of
 the WS column pattern.
 
-Classification is purely structural: it looks only at the corruption mask,
+Classification is purely structural: it looks only at the corrupted cells,
 the tiling plan and (for convolution) the lowering geometry — never at the
 fault location — so it can confirm the paper's determinism claim
 independently of the predictor.
@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -141,22 +142,25 @@ def _conv_class(cells: int, channels: int) -> PatternClass:
 def _scatter(
     sites: np.ndarray,
     num_sites: int,
-    keys: list[np.ndarray],
+    keys: Iterable[np.ndarray],
     widths: list[int],
 ) -> tuple[list[np.ndarray], list[list[int]]]:
     """Mark which keys each site touches, per key array.
 
-    ``keys[q]`` holds one key in ``[0, widths[q])`` per cell. Returns one
-    boolean ``(num_sites, widths[q])`` scatter per key array — row ``s``
-    read left to right is site ``s``'s distinct keys in ascending order —
-    and, per key array, every site's distinct count. The scatters are
-    column slices of one array, counted by one segmented row sum.
+    ``keys`` yields one array per entry of ``widths``, holding one key in
+    ``[0, widths[q])`` per cell; each is scattered as soon as it is
+    yielded, so a generator can free it before building the next. Returns
+    one boolean ``(num_sites, widths[q])`` scatter per key array — row
+    ``s`` read left to right is site ``s``'s distinct keys in ascending
+    order — and, per key array, every site's distinct count. The scatters
+    are column slices of one array, counted by one segmented row sum.
     """
     bounds = [0, *accumulate(widths)]
     hits = np.zeros((num_sites, bounds[-1]), dtype=bool)
     scatters = [hits[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for scatter, key in zip(scatters, keys):
         scatter[sites, key] = True
+        del key
     distinct = np.add.reduceat(hits, bounds[:-1], axis=1, dtype=np.int64)
     return scatters, distinct.T.tolist()
 
@@ -178,6 +182,40 @@ def _by_site(
         values = list(zip(high.tolist(), low.tolist()))
     bounds = [0, *accumulate(counts)]
     return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _cell_keys(
+    rows: np.ndarray, cols: np.ndarray, plan: TilingPlan | None, conv: bool
+) -> Iterator[np.ndarray]:
+    """The per-cell keys :func:`classify_batch` counts, one at a time:
+    the tile index when a plan is given, then the channel (``conv``) or
+    the within-tile cell, row and column and the global row and column.
+
+    Each key is built in place and dropped once the next is requested,
+    so at most a few per-cell arrays are alive at once.
+    """
+    if plan is not None:
+        tile = rows // plan.tile_m
+        tile *= -(-plan.n // plan.tile_n)
+        tile += cols // plan.tile_n
+        yield tile
+        del tile
+    if conv:
+        yield cols
+        return
+    assert plan is not None
+    local_row = rows % plan.tile_m
+    local_col = cols % plan.tile_n
+    local = local_row * plan.tile_n
+    local += local_col
+    yield local
+    del local
+    yield local_row
+    del local_row
+    yield local_col
+    del local_col
+    yield rows
+    yield cols
 
 
 def classify_batch(
@@ -217,8 +255,8 @@ def classify_batch(
     cols = np.asarray(cols, dtype=np.int64)
     cells = np.bincount(sites, minlength=num_sites).tolist()
     tiles = local_cells = channels = [()] * num_sites
-    # The keys to count per site; the tile key always comes first.
-    keys: list[np.ndarray] = []
+    # The widths of the keys to count per site; the tile key always
+    # comes first. _cell_keys yields the keys themselves, in this order.
     widths: list[int] = []
     if plan is None:
         if not conv:
@@ -231,24 +269,11 @@ def classify_batch(
                 f"corrupted cells lie outside the plan's {plan.m}x{plan.n} "
                 f"output"
             )
-        m_tile = rows // plan.tile_m
-        n_tile = cols // plan.tile_n
         n_grid = -(-plan.n // plan.tile_n)
-        keys.append(m_tile * n_grid + n_tile)
         widths.append(-(-plan.m // plan.tile_m) * n_grid)
     if conv:
-        keys.append(cols)
         widths.append(int(cols.max(initial=0)) + 1)
     else:
-        local_row = rows - m_tile * plan.tile_m
-        local_col = cols - n_tile * plan.tile_n
-        keys += [
-            local_row * plan.tile_n + local_col,
-            local_row,
-            local_col,
-            rows,
-            cols,
-        ]
         widths += [
             plan.tile_m * plan.tile_n,
             plan.tile_m,
@@ -256,7 +281,9 @@ def classify_batch(
             plan.m,
             plan.n,
         ]
-    scatters, counts = _scatter(sites, num_sites, keys, widths)
+    scatters, counts = _scatter(
+        sites, num_sites, _cell_keys(rows, cols, plan, conv), widths
+    )
     if plan is not None:
         tiles = _by_site(scatters[0], counts[0], n_grid)
     if conv:
@@ -316,7 +343,7 @@ def classify_pattern(pattern: FaultPattern) -> Classification:
     ValueError
         If a GEMM pattern carries no tiling plan.
     """
-    rows, cols = np.nonzero(pattern.gemm_mask())
+    rows, cols = pattern.gemm_coordinates()
     sites = np.zeros(rows.size, dtype=np.int64)
     return classify_batch(
         sites, rows, cols, 1, pattern.plan, conv=pattern.is_conv

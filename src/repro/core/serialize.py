@@ -272,10 +272,15 @@ def load_metrics(path: str | Path) -> MetricsRegistry:
 # in *completion* order — which is nondeterministic under parallel
 # execution — and carry the fault site, so the executor can always merge
 # them back into canonical site order. The corruption pattern is stored
-# sparsely (corrupted coordinates plus their signed deviations); the full
-# mask/deviation arrays are rebuilt against the golden output's shape on
-# load, which keeps checkpoints small for exactly the reason the paper's
-# taxonomy exists: SSF corruption is structured and sparse.
+# sparsely (corrupted coordinates plus their signed deviations), which
+# keeps checkpoints small for exactly the reason the paper's taxonomy
+# exists: SSF corruption is structured and sparse. A ``FaultPattern`` is
+# sparse too (its cells' flat output indices, ascending, plus their
+# deviations), so the codec never builds a dense array: encoding
+# unravels the indices into row-major ``[*coords, deviation]`` rows —
+# the order ``np.argwhere`` gives on the dense mask — and decoding
+# ravels them back against the golden output's shape, checking range,
+# count, non-zero deviations and distinctness on the cells themselves.
 #
 # The cells take one of two forms. On disk and in every artefact they
 # are a list of ``[*coords, deviation]`` rows. Live shard records — the
@@ -333,7 +338,7 @@ def experiment_record(
     if experiment.pattern is not None:
         pattern = experiment.pattern
         table = np.column_stack(
-            (np.argwhere(pattern.mask), pattern.deviation[pattern.mask])
+            (*np.unravel_index(pattern.index, pattern.shape), pattern.values)
         )
         if packed:
             cells = base64.b64encode(
@@ -400,15 +405,17 @@ def unpack_cells(record: dict[str, Any], ndim: int) -> dict[str, Any]:
     return {**record, "cells": _cell_table(cells, ndim).tolist()}
 
 
-def _dense_deviation(
+def _record_cells(
     cells: list | str, shape: tuple[int, ...], num_corrupted: object
-) -> np.ndarray:
-    """The dense deviation array a record's cells describe.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The strictly ascending flat output indices and deviations of a
+    record's cells, without building a dense array.
 
     Every cell must lie inside ``shape``, deviate by a non-zero amount
     and appear once, and there must be ``num_corrupted`` of them: a
     record that breaks any of these raises ``ValueError`` instead of
-    rebuilding a pattern that disagrees with its own statistics.
+    rebuilding a pattern that disagrees with its own statistics. Cells
+    out of row-major order are sorted once.
     """
     table = _cell_table(cells, len(shape))
     try:
@@ -422,15 +429,15 @@ def _dense_deviation(
             f"{len(table)} cells for a record of {num_corrupted!r} "
             f"corrupted cells"
         )
-    values = table[:, -1]
-    deviation = np.zeros(shape, dtype=np.int64)
-    deviation.reshape(-1)[flat] = values
-    # Fewer non-zero entries than cells: a zero deviation or a repeat.
-    if np.count_nonzero(deviation) != len(table):
-        if not values.all():
-            raise ValueError("a cell has a zero deviation")
-        raise ValueError("a cell appears more than once")
-    return deviation
+    values = np.ascontiguousarray(table[:, -1])
+    if np.count_nonzero(values) != len(values):
+        raise ValueError("a cell has a zero deviation")
+    if np.count_nonzero(flat[1:] <= flat[:-1]):
+        order = np.argsort(flat, kind="stable")
+        flat, values = flat[order], values[order]
+        if np.count_nonzero(flat[1:] == flat[:-1]):
+            raise ValueError("a cell appears more than once")
+    return flat, values
 
 
 def experiment_from_record(
@@ -445,7 +452,7 @@ def experiment_from_record(
     ----------
     shape:
         Output-tensor shape of the campaign's golden run; required to
-        densify the sparse cell list back into mask/deviation arrays.
+        rebuild the pattern from its cells.
         When ``None`` (or the record carries no cells) the pattern is
         restored as ``None``, exactly as a ``keep_patterns=False`` run
         would have produced.
@@ -481,13 +488,8 @@ def experiment_from_record(
     pattern: FaultPattern | None = None
     cells = record.get("cells")
     if cells is not None and shape is not None:
-        deviation = _dense_deviation(cells, shape, record["num_corrupted"])
-        pattern = FaultPattern(
-            mask=deviation != 0,
-            deviation=deviation,
-            plan=plan,
-            geometry=geometry,
-        )
+        index, values = _record_cells(cells, shape, record["num_corrupted"])
+        pattern = FaultPattern(shape, index, values, plan=plan, geometry=geometry)
     return ExperimentResult(
         site=site,
         classification=classification,

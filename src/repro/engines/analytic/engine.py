@@ -13,8 +13,8 @@ metric so a campaign's analytic coverage is observable.
 Cost follows the corrupted cells, not the output size: the kernels
 compute only on each fault's support and emit its nonzero deltas as flat
 ``(site, row, col, deviation)`` cells, which the per-site reductions and
-the batched classifier read directly. Dense arrays appear only at the
-``keep_patterns`` boundary, one ``FaultPattern`` per site from its cells.
+the batched classifier read directly. With ``keep_patterns`` each site's
+cells become its sparse ``FaultPattern``; no dense array is built.
 
 The function is deliberately stateless — it builds its whole evaluation
 context (operands, tiling geometry, site groups) fresh from the pickled
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.campaign import Campaign, ExperimentResult
 from repro.core.classifier import classify_batch
-from repro.core.fault_patterns import FaultPattern
+from repro.core.fault_patterns import FaultPattern, output_index
 from repro.engines.analytic.algebra import (
     FaultLens,
     os_chain_tile,
@@ -195,19 +195,9 @@ def _evaluate_closed_form(
 
     patterns: list[FaultPattern | None] = [None] * num_sites
     if campaign.keep_patterns:
-        # Dense arrays exist only here, one per site, from its own cells:
-        # the kernels emit runs of one site, so the stable sort merely
-        # merges a few sorted runs.
-        by_site = np.split(
-            np.argsort(site, kind="stable"),
-            np.cumsum(counts, dtype=np.int64)[:-1],
+        patterns = _site_patterns(
+            site, cell_rows, cell_cols, dev, counts, plan, geometry
         )
-        patterns = [
-            _dense_pattern(
-                cell_rows[cells], cell_cols[cells], dev[cells], plan, geometry
-            )
-            for cells in by_site
-        ]
 
     for position, (index, count, maximum) in enumerate(
         zip(supported, counts.tolist(), maxima.tolist())
@@ -284,24 +274,33 @@ def _batch_cells(
     return site, cell_rows, cell_cols, dev
 
 
-def _dense_pattern(
+def _site_patterns(
+    site: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     dev: np.ndarray,
+    counts: np.ndarray,
     plan: TilingPlan,
     geometry: ConvGeometry | None,
-) -> FaultPattern:
-    """One site's dense :class:`FaultPattern` from its GEMM-spaced cells,
-    reshaped to ``(N, K, P, Q)`` for a convolution."""
-    deviation = np.zeros((plan.m, plan.n), dtype=np.int64)
-    deviation[rows, cols] = dev
-    if geometry is not None:
-        g = geometry
-        deviation = deviation.reshape(g.n, g.p, g.q, g.k)
-        deviation = deviation.transpose(0, 3, 1, 2)
-    return FaultPattern(
-        mask=deviation != 0, deviation=deviation, plan=plan, geometry=geometry
-    )
+) -> list[FaultPattern]:
+    """One sparse :class:`FaultPattern` per site from the batch's cells.
+
+    The kernels emit runs of one site, mostly ascending already, so the
+    cells are sorted (by site, then flat output index) only when they
+    are not; each site's slice is then its pattern's strictly ascending
+    index.
+    """
+    shape, flat = output_index(rows, cols, plan, geometry)
+    key = site * (plan.m * plan.n)
+    key += flat
+    if np.count_nonzero(key[1:] <= key[:-1]):
+        order = np.argsort(key)
+        flat, dev = flat[order], dev[order]
+    bounds = np.cumsum(counts, dtype=np.int64)[:-1]
+    return [
+        FaultPattern(shape, index, values, plan=plan, geometry=geometry)
+        for index, values in zip(np.split(flat, bounds), np.split(dev, bounds))
+    ]
 
 
 #: Upper bound on the (site, tile) pairs one OS kernel call advances:

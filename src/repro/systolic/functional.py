@@ -194,13 +194,15 @@ class FunctionalSimulator:
         ``r + c + k`` for reduction step ``k``; all other cycles are idle
         (zero operands) but still pass through the faulty datapath — which
         matters for stuck-at faults on the product or operand signals.
+        Each faulty MAC's recurrence runs once, applying all of its
+        faults (any signals, any bits) in that one pass.
         """
         m, k = a.shape
         n = b.shape[1]
         in_t = self.config.input_dtype
         acc_t = self.config.acc_dtype
-        for site in sorted({f.site for f in self.injector.fault_set}):
-            r, c = site.row, site.col
+        macs = {(f.site.row, f.site.col) for f in self.injector.fault_set}
+        for r, c in sorted(macs):
             if r >= m or c >= n:
                 continue  # fault lands in an unused PE: masked by mapping
             a_faults = self.injector.faults_at(r, c, SIGNAL_A_REG)

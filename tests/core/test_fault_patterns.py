@@ -46,9 +46,10 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_pattern(np.zeros((2, 2)), np.zeros((3, 3)))
 
-    def test_mask_deviation_coherence_enforced(self):
-        with pytest.raises(ValueError):
-            FaultPattern(mask=np.zeros((2, 2), bool), deviation=np.zeros((3, 3)))
+    def test_cell_outside_shape_rejected(self):
+        for index in ([-1], [4], [0, 9]):
+            with pytest.raises(ValueError, match="outside"):
+                FaultPattern((2, 2), index, np.ones(len(index), dtype=np.int64))
 
 
 class TestConvPatterns:

@@ -336,7 +336,11 @@ def with_pattern(template, deviation: np.ndarray):
     """``template`` carrying ``deviation`` as its pattern."""
     return replace(
         template,
-        pattern=FaultPattern(mask=deviation != 0, deviation=deviation),
+        pattern=FaultPattern(
+            deviation.shape,
+            np.flatnonzero(deviation),
+            deviation[deviation != 0],
+        ),
         num_corrupted=int(np.count_nonzero(deviation)),
     )
 

@@ -11,7 +11,8 @@ is checked on every pair rather than on samples:
 * :meth:`FunctionalSimulator.matmul` returns the exact outer product for a
   K=1 GEMM over all INT8 values, under OS, WS and IS;
 * both functional fault overlays, fed every pair, agree with a
-  :class:`MacUnit` replay of the faulty MAC.
+  :class:`MacUnit` replay of the faulty MAC, and the OS overlay does so
+  with all four signals of its MAC stuck in one run.
 
 Range closure: every fault model's ``apply`` keeps a value inside the
 signal dtype's range, exhaustively for INT8 and by hypothesis for INT32.
@@ -143,6 +144,24 @@ class TestFaultOverlays:
         mac = MacUnit(0, 0, injector)
         acc = 0
         for cycle, (av, bv) in enumerate(zip(pairs_a, pairs_b)):
+            acc = mac.compute(av, bv, acc, cycle)
+        assert int(out[0, 0]) == acc
+
+    def test_os_overlay_applies_all_faults_of_a_mac_in_one_pass(self):
+        # Every signal of the one PE stuck at once, over all 65,536 pairs:
+        # the overlay replays the MAC once with all four faults applied.
+        injector = FaultInjector([
+            StuckAtFault(FaultSite(0, 0, signal, bit), stuck)
+            for signal, (bit, stuck) in STUCK.items()
+        ])
+        sim = FunctionalSimulator(MeshConfig(rows=1, cols=1), injector)
+        a = np.array(PAIRS_A, dtype=np.int64).reshape(1, -1)
+        b = np.array(PAIRS_B, dtype=np.int64).reshape(-1, 1)
+        out = sim.matmul(a, b, Dataflow.OUTPUT_STATIONARY)
+
+        mac = MacUnit(0, 0, injector)
+        acc = 0
+        for cycle, (av, bv) in enumerate(zip(PAIRS_A, PAIRS_B)):
             acc = mac.compute(av, bv, acc, cycle)
         assert int(out[0, 0]) == acc
 
