@@ -116,6 +116,7 @@ from repro.core.serialize import (
 )
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
+from repro.systolic.dataflow import Dataflow
 
 __all__ = [
     "CampaignExecutor",
@@ -593,8 +594,10 @@ class _ShardIngest:
 
     Each owns one dispatch of ``pending``: a FIFO of shards cut at the
     campaign's :attr:`~repro.core.campaign.Campaign.min_shard_sites`
-    granularity, the shared :class:`FailureLadder`, the completed map,
-    and the :class:`LeaseTable` of in-flight attempts, whose leases last
+    granularity (an analytic WS/IS campaign's in mesh-column order,
+    :func:`~repro.engines.analytic.engine.column_order`), the shared
+    :class:`FailureLadder`, the completed map, and the
+    :class:`LeaseTable` of in-flight attempts, whose leases last
     ``lease_seconds`` (``None``: no deadline). Every shard result enters
     through :meth:`_ingest` — validate, decode, store, checkpoint, then
     release the lease — whether it came back from a pool child or off
@@ -624,6 +627,15 @@ class _ShardIngest:
         self.geometry = geometry
         self.obs = executor.obs
         self.stream = stream
+        if (
+            campaign.engine_kind == "analytic"
+            and campaign.workload.dataflow is not Dataflow.OUTPUT_STATIONARY
+        ):
+            # Shards of whole mesh columns compute each column's WS/IS
+            # products in one shard, not in every shard.
+            from repro.engines.analytic.engine import column_order
+
+            pending = [pending[i] for i in column_order(pending)]
         shards = shard_sites(
             pending,
             executor.jobs * executor.shards_per_worker,

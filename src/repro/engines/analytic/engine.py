@@ -16,6 +16,12 @@ compute only on each fault's support and emit its nonzero deltas as flat
 the batched classifier read directly. With ``keep_patterns`` each site's
 cells become its sparse ``FaultPattern``; no dense array is built.
 
+Memory follows a fixed budget, not the workload: a batch whose sites
+could corrupt more than :data:`_CHUNK_CELLS` cells between them runs in
+chunks under that bound, cut in :func:`column_order` (mesh column, then
+row) so a WS/IS chunk holds whole columns where it can. Each chunk's
+cells are classified, reduced and dropped before the next is built.
+
 The function is deliberately stateless — it builds its whole evaluation
 context (operands, tiling geometry, site groups) fresh from the pickled
 campaign spec on every call. That keeps it safe inside forked executor
@@ -25,6 +31,7 @@ results wherever it runs.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +55,7 @@ from repro.systolic.datatypes import wrap_array
 
 __all__ = [
     "FALLBACK_METRIC",
+    "column_order",
     "evaluate_batch",
     "record_fallbacks",
     "unsupported_sites",
@@ -67,6 +75,12 @@ _Cells = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _NO_CELLS: _Cells = (np.zeros(0, dtype=np.int64),) * 4
 
+#: The most cells one closed-form chunk may corrupt, by the per-site
+#: bound of :func:`_site_cells`: it caps both a chunk's cell arrays and
+#: the WS kernel's ``(rows × sites)`` int64 temporaries (2 MB each).
+#: Every 16x16 and 112x112 GEMM batch fits in one chunk.
+_CHUNK_CELLS = 1 << 18
+
 
 def unsupported_sites(
     campaign: Campaign, sites: Sequence[tuple[int, int]]
@@ -84,6 +98,17 @@ def unsupported_sites(
         if supported_reason(campaign.fault_spec.fault_at(row, col), dataflow)
         is not None
     ]
+
+
+def column_order(sites: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions of the ``(row, col)`` ``sites``, by mesh column, then row.
+
+    The WS/IS kernel computes each distinct mesh column's products once
+    per call, so batches that hold whole columns compute every column
+    once: the engine cuts oversized batches in this order, and the
+    executors cut an analytic WS/IS campaign's shards in it.
+    """
+    return sorted(range(len(sites)), key=lambda i: (sites[i][1], sites[i][0]))
 
 
 def record_fallbacks(metrics, count: int) -> None:
@@ -136,13 +161,77 @@ def evaluate_batch(
             )
 
     if supported:
+        chunks = _chunks(
+            dataflow, plan, supported, [sites[i] for i in supported]
+        )
         with recorder.span(
-            "experiment.batch", cat="campaign", sites=len(supported)
+            "experiment.batch",
+            cat="campaign",
+            sites=len(supported),
+            chunks=len(chunks),
         ):
             _evaluate_closed_form(
-                campaign, faults, supported, golden, plan, geometry, results
+                campaign, faults, chunks, golden, plan, geometry, results
             )
     return [result for result in results if result is not None]
+
+
+def _site_cells(
+    dataflow: Dataflow, plan: TilingPlan, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Upper bound on each MAC ``(rows[i], cols[i])``'s corrupted cells.
+
+    A WS site corrupts at most its output column, all ``M`` rows, in each
+    column tile it is active in (IS: ``N`` rows per row tile); an OS site
+    at most one cell per output tile it is active in.
+    """
+    if dataflow is Dataflow.OUTPUT_STATIONARY:
+        shapes = np.array(
+            [(m.size, n.size) for m, n in plan.output_tiles()], dtype=np.int64
+        )
+        active = rows[:, None] < shapes[:, 0]
+        active &= cols[:, None] < shapes[:, 1]
+        return active.sum(axis=1, dtype=np.int64)
+    height, col_tiles = plan.m, plan.n_tiles
+    if dataflow is Dataflow.INPUT_STATIONARY:
+        height, col_tiles = plan.n, plan.m_tiles
+    sizes = np.array([tile.size for tile in col_tiles], dtype=np.int64)
+    return height * (cols[:, None] < sizes).sum(axis=1, dtype=np.int64)
+
+
+def _chunks(
+    dataflow: Dataflow,
+    plan: TilingPlan,
+    supported: list[int],
+    sites: list[tuple[int, int]],
+) -> list[list[int]]:
+    """``supported`` (at ``sites``) cut into chunks of at most
+    :data:`_CHUNK_CELLS` cells each by :func:`_site_cells`.
+
+    A batch within the budget is one chunk in input order. A larger one
+    is walked in :func:`column_order`: a column that does not fit in the
+    current chunk starts a new one, and a column over the budget on its
+    own is split between sites.
+    """
+    rows, cols = np.array(sites, dtype=np.int64).T
+    weights = _site_cells(dataflow, plan, rows, cols).tolist()
+    if sum(weights) <= _CHUNK_CELLS:
+        return [supported]
+    chunks: list[list[int]] = [[]]
+    load = 0
+    for _, column in groupby(column_order(sites), key=lambda i: sites[i][1]):
+        column = list(column)
+        column_load = sum(weights[i] for i in column)
+        if chunks[-1] and load + column_load > _CHUNK_CELLS:
+            chunks.append([])
+            load = 0
+        for i in column:
+            if load + weights[i] > _CHUNK_CELLS and chunks[-1]:
+                chunks.append([])
+                load = 0
+            chunks[-1].append(supported[i])
+            load += weights[i]
+    return chunks
 
 
 def _gemm_operands(
@@ -167,22 +256,42 @@ def _gemm_operands(
 def _evaluate_closed_form(
     campaign: Campaign,
     faults: list[FaultDescriptor],
-    supported: list[int],
+    chunks: list[list[int]],
     golden: np.ndarray,
     plan: TilingPlan,
     geometry: ConvGeometry | None,
     results: list[ExperimentResult | None],
 ) -> None:
-    """Fill ``results`` for every ``supported`` index via batched deltas."""
+    """Fill ``results`` for every index of ``chunks`` via batched deltas,
+    one chunk at a time."""
     if geometry is None:
         gemm_golden = golden
     else:
         gemm_golden = golden.transpose(0, 2, 3, 1).reshape(
             geometry.gemm_m, geometry.k
         )
+    operands = _gemm_operands(campaign, geometry)
+    for chunk in chunks:
+        _evaluate_chunk(
+            campaign, faults, chunk, operands, gemm_golden, plan, geometry,
+            results,
+        )
 
+
+def _evaluate_chunk(
+    campaign: Campaign,
+    faults: list[FaultDescriptor],
+    supported: list[int],
+    operands: tuple[np.ndarray, np.ndarray],
+    gemm_golden: np.ndarray,
+    plan: TilingPlan,
+    geometry: ConvGeometry | None,
+    results: list[ExperimentResult | None],
+) -> None:
+    """Fill ``results`` for one chunk of ``supported`` indices; the
+    chunk's cells die with this frame."""
     site, cell_rows, cell_cols, dev = _batch_cells(
-        campaign, faults, supported, gemm_golden, plan, geometry
+        campaign, faults, supported, operands, gemm_golden, plan
     )
     # Per-site reductions over the cells alone, never over the output.
     num_sites = len(supported)
@@ -215,16 +324,16 @@ def _batch_cells(
     campaign: Campaign,
     faults: list[FaultDescriptor],
     supported: list[int],
+    operands: tuple[np.ndarray, np.ndarray],
     gemm_golden: np.ndarray,
     plan: TilingPlan,
-    geometry: ConvGeometry | None,
 ) -> _Cells:
     """Every corrupted cell of the ``supported`` sites, GEMM-spaced, with
     site ``i`` standing for ``faults[supported[i]]``: each kernel walks
     the plan as :class:`~repro.ops.gemm.TiledGemm` does, and a site
     masked for a tile's shape emits no cells there."""
     mesh = campaign.mesh
-    a, b = _gemm_operands(campaign, geometry)
+    a, b = operands
     # Group sites by stuck-at family so each kernel call forces one
     # homogeneous (signal, bit, value) triple. First-seen order keeps the
     # grouping deterministic without iterating a dict, and the plain
