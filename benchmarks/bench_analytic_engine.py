@@ -35,6 +35,13 @@ import (read from Linux's ``/proc/self/status``). Run as a script with a
 limit in MB, the bench runs that probe alone and fails when the peak
 exceeds the after-import RSS by more than the limit (CI's memory gate).
 
+A functional row records what the analytic tier is measured against on
+the paper's large operations: the serial per-site time of the functional
+engine on the three configurations of the ``pool_functional`` benchmark
+workload (112x112 GEMM WS and OS, Conv 112 3x3x3x8 WS), each over the same
+8 fixed sites, one from each block of the mesh cut into four row bands
+and two column halves, median of interleaved repeats.
+
 Numbers land in ``BENCH_analytic_engine.json`` at the repo root.
 """
 
@@ -50,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.core import Campaign, FillKind, GemmWorkload
+from repro.core import Campaign, ConvWorkload, FillKind, GemmWorkload
 from repro.core.executor import GOLDEN_CACHE, ParallelExecutor, SerialExecutor
 from repro.core.sampling import paper_configurations
 from repro.core.serialize import SCHEMA_VERSION
@@ -73,6 +80,14 @@ EXECUTOR_REPEATS = 7
 
 #: Interleaved passes of the study row.
 STUDY_REPEATS = 7
+
+#: The functional row's sites: one per block of four row bands x two
+#: column halves (a Conv 112 fault in columns 0-7 corrupts 12,100 cells,
+#: one in columns 8-15 none), and its interleaved repeats.
+FUNCTIONAL_SITES = tuple(
+    (5 * band, 8 * half + 2 * band + 1) for band in range(4) for half in range(2)
+)
+FUNCTIONAL_REPEATS = 5
 
 #: The child process of the study row's memory figure: one Conv 112
 #: campaign, with the peak RSS read before and after. Linux's ``VmHWM``
@@ -174,6 +189,39 @@ def _executor_rows() -> list[dict]:
                 },
             })
     return rows
+
+
+def _functional_row() -> dict:
+    """Serial per-site ms of the functional engine on the three
+    ``pool_functional`` configurations, golden runs warmed first."""
+    ws, os_ = Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY
+    campaigns = [
+        Campaign(MESH, workload, engine="functional", sites=FUNCTIONAL_SITES)
+        for workload in (
+            GemmWorkload.square(112, ws),
+            GemmWorkload.square(112, os_),
+            ConvWorkload.paper_kernel(112, (3, 3, 3, 8), dataflow=ws),
+        )
+    ]
+    for campaign in campaigns:
+        GOLDEN_CACHE.golden_run(campaign)
+    samples = [[] for _ in campaigns]
+    for _ in range(FUNCTIONAL_REPEATS):
+        for campaign, times in zip(campaigns, samples):
+            start = time.perf_counter()
+            campaign.run()
+            times.append(time.perf_counter() - start)
+    return {
+        "sites": len(FUNCTIONAL_SITES),
+        "repeats": FUNCTIONAL_REPEATS,
+        "cores": parallel_capacity(),
+        "per_site_ms": {
+            campaign.workload.describe(): (
+                1e3 * statistics.median(times) / len(FUNCTIONAL_SITES)
+            )
+            for campaign, times in zip(campaigns, samples)
+        },
+    }
 
 
 def conv112_rss() -> dict:
@@ -295,6 +343,14 @@ def test_analytic_speedup(benchmark):
         f"(after import: {study['conv112_rss_after_import_mb']:.0f} MB)"
     )
 
+    functional_row = _functional_row()
+    print(banner(
+        f"Functional engine — serial ms per site over "
+        f"{functional_row['sites']} fixed sites, median of {FUNCTIONAL_REPEATS}"
+    ))
+    for name, ms in functional_row["per_site_ms"].items():
+        print(f"  {ms:>7.1f}ms  {name}")
+
     ARTIFACT.write_text(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "bench": "analytic_engine",
@@ -308,6 +364,7 @@ def test_analytic_speedup(benchmark):
         "executors": executors,
         "study_repeats": STUDY_REPEATS,
         "study": study,
+        "functional": functional_row,
     }, indent=2) + "\n")
     print(f"written: {ARTIFACT.name}")
 

@@ -12,15 +12,24 @@ input: reduction tile ``t`` runs with the partial result of tiles
 the accumulator. This keeps the faulty datapath in the loop for every
 reduction step, which matters: a stuck-at fault re-forces the partial sums
 of every tile that passes through it.
+
+Engine contract: output tiles of equal shape (the full tiles, and the
+ragged last row or column of tiles — at most four groups) run as one
+stack, and each reduction step is one ``engine.matmul`` call on that
+stack, with operands ``(T, M, K)`` and ``(T, K, N)`` and bias
+``(T, M, N)``. The engine must return what ``T`` single-tile calls would,
+in stack order; both :class:`~repro.systolic.simulator.CycleSimulator`
+and :class:`~repro.systolic.functional.FunctionalSimulator` do.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ops.tiling import TilingPlan, plan_gemm_tiling
+from repro.ops.tiling import TilingPlan, plan_gemm_tiling, split_ranges
 from repro.systolic.dataflow import Dataflow
 from repro.systolic.datatypes import wrap_array
 
@@ -52,7 +61,8 @@ class TiledGemm:
     engine:
         A :class:`~repro.systolic.simulator.CycleSimulator` or
         :class:`~repro.systolic.functional.FunctionalSimulator` (anything
-        with ``.config`` and ``.matmul(a, b, dataflow, bias)``).
+        with ``.config`` and a ``.matmul(a, b, dataflow, bias)`` that
+        accepts stacks of equal-shape tiles, see the module docstring).
     tile_m, tile_k, tile_n:
         Optional tile-size overrides; default to the mesh extent.
     reduction:
@@ -143,17 +153,70 @@ class TiledGemm:
                 )
             out = wrap_array(bias, acc_dtype)
 
-        for m_range, n_range in plan.output_tiles():
-            partial = out[m_range.start : m_range.stop, n_range.start : n_range.stop]
-            for k_range in plan.k_tiles:
-                a_tile = a[m_range.start : m_range.stop, k_range.start : k_range.stop]
-                b_tile = b[k_range.start : k_range.stop, n_range.start : n_range.stop]
-                if self.reduction == "mesh":
-                    partial = self.engine.matmul(
-                        a_tile, b_tile, dataflow, bias=partial
-                    )
-                else:
-                    product = self.engine.matmul(a_tile, b_tile, dataflow)
-                    partial = wrap_array(partial + product, acc_dtype)
-            out[m_range.start : m_range.stop, n_range.start : n_range.stop] = partial
+        for rows in _index_groups(m, plan.tile_m):
+            for cols in _index_groups(n, plan.tile_n):
+                self._run_group(out, a, b, rows, cols, plan, dataflow)
         return GemmResult(output=out, plan=plan)
+
+    def _run_group(
+        self,
+        out: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        plan: TilingPlan,
+        dataflow: Dataflow,
+    ) -> None:
+        """Accumulate one group of equal-shape output tiles into ``out``.
+
+        ``rows`` is ``(Tm, tile_m)`` and ``cols`` ``(Tn, tile_n)``: the
+        output indices of the group's m- and n-tiles. Their ``Tm * Tn``
+        tiles form one stack in row-major tile order, and each k-tile is
+        one engine call on that stack.
+        """
+        (t_m, size_m), (t_n, size_n) = rows.shape, cols.shape
+        tiles = t_m * t_n
+        block = (rows[:, None, :, None], cols[None, :, None, :])
+        partial = out[block].reshape(tiles, size_m, size_n)
+        for k_range in plan.k_tiles:
+            ks = slice(k_range.start, k_range.stop)
+            a_tiles = np.broadcast_to(
+                a[rows, ks][:, None], (t_m, t_n, size_m, k_range.size)
+            ).reshape(tiles, size_m, k_range.size)
+            b_tiles = np.broadcast_to(
+                b[ks][:, cols].transpose(1, 0, 2)[None],
+                (t_m, t_n, k_range.size, size_n),
+            ).reshape(tiles, k_range.size, size_n)
+            if self.reduction == "mesh":
+                partial = self.engine.matmul(
+                    a_tiles, b_tiles, dataflow, bias=partial
+                )
+            else:
+                product = self.engine.matmul(a_tiles, b_tiles, dataflow)
+                partial = wrap_array(
+                    partial + product, self.engine.config.acc_dtype
+                )
+        out[block] = partial.reshape(t_m, t_n, size_m, size_n)
+
+
+@functools.lru_cache(maxsize=64)
+def _index_groups(extent: int, tile: int) -> tuple[np.ndarray, ...]:
+    """The tiles of ``split_ranges(extent, tile)`` grouped by size, each
+    group as a read-only ``(tiles, size)`` array of the indices its tiles
+    cover, in tile order.
+
+    :func:`~repro.ops.tiling.split_ranges` yields full tiles and at most
+    one shorter last tile, so there are at most two groups.
+    """
+    starts: dict[int, list[int]] = {}
+    for tile_range in split_ranges(extent, tile):
+        starts.setdefault(tile_range.size, []).append(tile_range.start)
+    groups = tuple(
+        np.array(first, dtype=np.int64)[:, None]
+        + np.arange(size, dtype=np.int64)
+        for size, first in starts.items()
+    )
+    for group in groups:
+        group.flags.writeable = False
+    return groups

@@ -15,7 +15,6 @@ consume to reason about multi-tile patterns without re-running anything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 

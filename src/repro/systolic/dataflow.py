@@ -35,6 +35,7 @@ __all__ = [
     "InputStationarySchedule",
     "make_schedule",
     "site_tile_footprint",
+    "as_tile_stack",
 ]
 
 
@@ -97,6 +98,44 @@ def site_tile_footprint(
             return tuple((col, n) for n in range(tile_n))
         return ()
     raise ValueError(f"unsupported dataflow: {dataflow!r}")
+
+
+def as_tile_stack(
+    a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
+    """Operands of an engine's ``matmul`` as a stack of equal-shape tiles.
+
+    Both engines take either one tile -- ``A (M, K)``, ``B (K, N)`` and an
+    optional bias ``(M, N)`` -- or a stack of ``T`` such tiles --
+    ``(T, M, K)``, ``(T, K, N)`` and ``(T, M, N)``. Returns the operands
+    as stacks (a single tile gains a leading axis of length 1) and whether
+    the call was stacked, so the engine can drop that axis again.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim not in (2, 3) or b.ndim != a.ndim:
+        raise ValueError(
+            "operands must be 2-D matrices or stacks of them, "
+            f"got A {a.shape} and B {b.shape}"
+        )
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(
+            f"inner dimensions disagree: A is {a.shape}, B is {b.shape}"
+        )
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"stack lengths disagree: A is {a.shape}, B is {b.shape}")
+    stacked = a.ndim == 3
+    if bias is not None:
+        bias = np.asarray(bias)
+        expected = a.shape[:-1] + b.shape[-1:]
+        if bias.shape != expected:
+            raise ValueError(
+                f"bias shape {bias.shape} does not match output {expected}"
+            )
+    if not stacked:
+        a, b = a[None], b[None]
+        bias = None if bias is None else bias[None]
+    return a, b, bias, stacked
 
 
 class TileSchedule(Protocol):

@@ -15,6 +15,15 @@ by exploiting the same structural facts the paper's analysis exploits:
 
 Everything else is the golden matmul, computed in one numpy expression.
 
+Engine contract: :meth:`FunctionalSimulator.matmul` takes one tile or a
+stack of ``T`` equal-shape tiles (operands ``(T, M, K)`` and ``(T, K, N)``,
+bias ``(T, M, N)``) and returns what ``T`` single-tile calls would, in
+stack order; ``cycles_elapsed`` and ``tiles_executed`` add up per tile.
+The golden part is one stacked ``a @ b + bias``; the WS/IS overlay
+vectorises its per-mesh-row chain over (stack x output rows), and the OS
+overlay runs its scalar recurrence once per tile. Fault cycles count from
+each tile's own start, as in the cycle engine.
+
 The equivalence ``FunctionalSimulator == CycleSimulator`` for every
 (operand, dataflow, fault) combination is enforced by property-based tests
 (``tests/property/test_engine_equivalence.py``); it is what justifies using
@@ -34,7 +43,7 @@ from repro.faults.sites import (
     SIGNAL_SUM,
 )
 from repro.systolic.array import MeshConfig
-from repro.systolic.dataflow import Dataflow
+from repro.systolic.dataflow import Dataflow, as_tile_stack
 from repro.systolic.datatypes import (
     IntType,
     flip_bit_array,
@@ -51,16 +60,19 @@ def _apply_faults_vec(
     dtype: IntType,
     cycles: np.ndarray,
 ) -> np.ndarray:
-    """Apply ``faults`` to a vector of signal ``values`` driven at ``cycles``.
+    """Apply ``faults`` to an array of signal ``values`` driven at ``cycles``.
 
-    ``values`` and ``cycles`` are parallel int64 arrays: element ``i`` is the
-    signal value driven at cycle ``cycles[i]``. Faults are applied in
-    registration order, matching :meth:`FaultInjector.perturb`.
+    ``cycles`` broadcasts against ``values``: element ``i`` of ``values``
+    is the signal value driven at cycle ``cycles[i]``. Faults are applied
+    in registration order, matching :meth:`FaultInjector.perturb`. Only
+    the exact stuck-at and bit-flip classes take the vectorised forms; any
+    other descriptor, a subclass overriding :meth:`~FaultDescriptor.apply`
+    included, runs its own ``apply`` element by element.
     """
     for fault in faults:
-        if isinstance(fault, StuckAtFault):
+        if type(fault) is StuckAtFault:
             values = force_bit_array(values, fault.site.bit, fault.stuck_value, dtype)
-        elif isinstance(fault, TransientBitFlip):
+        elif type(fault) is TransientBitFlip:
             end = (
                 fault.start_cycle if fault.end_cycle is None else fault.end_cycle
             )
@@ -70,13 +82,14 @@ def _apply_faults_vec(
         else:
             # Generic descriptor: elementwise fallback keeps semantics exact
             # for user-defined fault models at the cost of a Python loop.
+            at = np.broadcast_to(cycles, values.shape)
             values = np.array(
                 [
-                    fault.apply(int(v), dtype, int(t))
-                    for v, t in zip(values, cycles)
+                    fault.apply(v, dtype, t)
+                    for v, t in zip(values.ravel().tolist(), at.ravel().tolist())
                 ],
                 dtype=np.int64,
-            )
+            ).reshape(values.shape)
     return values
 
 
@@ -106,21 +119,19 @@ class FunctionalSimulator:
         dataflow: Dataflow,
         bias: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Compute one tile ``A @ B (+ bias)`` under ``dataflow``.
+        """Compute ``A @ B (+ bias)`` under ``dataflow``, one tile or a stack.
 
         Semantics (shapes, validation, wrap arithmetic, fault effects) are
-        identical to :meth:`CycleSimulator.matmul`.
+        identical to :meth:`CycleSimulator.matmul`: a stack of ``T``
+        equal-shape tiles (operands ``(T, M, K)`` and ``(T, K, N)``, bias
+        ``(T, M, N)``) returns what ``T`` single-tile calls would, in stack
+        order, and counts ``T`` tiles and their cycles.
         """
-        a = wrap_array(np.asarray(a), self.config.input_dtype)
-        b = wrap_array(np.asarray(b), self.config.input_dtype)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("operands must be 2-D matrices")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"inner dimensions disagree: A is {a.shape}, B is {b.shape}"
-            )
-        m, k = a.shape
-        n = b.shape[1]
+        a, b, bias, stacked = as_tile_stack(a, b, bias)
+        a = wrap_array(a, self.config.input_dtype)
+        b = wrap_array(b, self.config.input_dtype)
+        tiles, m, k = a.shape
+        n = b.shape[2]
         if dataflow is Dataflow.OUTPUT_STATIONARY:
             if m > self.config.rows or n > self.config.cols:
                 raise ValueError(
@@ -149,17 +160,13 @@ class FunctionalSimulator:
             raise ValueError(f"unsupported dataflow: {dataflow!r}")
 
         bias_arr = (
-            np.zeros((m, n), dtype=np.int64)
+            np.zeros((tiles, m, n), dtype=np.int64)
             if bias is None
-            else wrap_array(np.asarray(bias), self.config.acc_dtype)
+            else wrap_array(bias, self.config.acc_dtype)
         )
-        if bias_arr.shape != (m, n):
-            raise ValueError(
-                f"bias shape {bias_arr.shape} does not match output ({m}, {n})"
-            )
-
-        products = wrap_array(a @ b, self.config.acc_dtype)
-        out = wrap_array(products + bias_arr, self.config.acc_dtype)
+        # Wrapping is modular, so one wrap of the int64 sum equals the
+        # hardware's wrapped product followed by a wrapped accumulate.
+        out = wrap_array(a @ b + bias_arr, self.config.acc_dtype)
 
         if not self.injector.is_golden:
             if dataflow is Dataflow.OUTPUT_STATIONARY:
@@ -169,13 +176,18 @@ class FunctionalSimulator:
             else:
                 # IS = WS on the transposed problem: overlay faults on
                 # C^T = B^T @ A^T, then write the transpose back.
-                out_t = np.ascontiguousarray(out.T)
-                self._overlay_ws_faults(out_t, b.T, a.T, bias_arr.T)
-                out[...] = out_t.T
+                out_t = np.ascontiguousarray(out.transpose(0, 2, 1))
+                self._overlay_ws_faults(
+                    out_t,
+                    b.transpose(0, 2, 1),
+                    a.transpose(0, 2, 1),
+                    bias_arr.transpose(0, 2, 1),
+                )
+                out[...] = out_t.transpose(0, 2, 1)
 
-        self.cycles_elapsed += total_cycles
-        self.tiles_executed += 1
-        return out
+        self.cycles_elapsed += total_cycles * tiles
+        self.tiles_executed += tiles
+        return out if stacked else out[0]
 
     # ------------------------------------------------------------------
     # OS fault overlay
@@ -194,11 +206,12 @@ class FunctionalSimulator:
         ``r + c + k`` for reduction step ``k``; all other cycles are idle
         (zero operands) but still pass through the faulty datapath — which
         matters for stuck-at faults on the product or operand signals.
-        Each faulty MAC's recurrence runs once, applying all of its
-        faults (any signals, any bits) in that one pass.
+        Each faulty MAC's recurrence runs once per tile of the stack,
+        applying all of its faults (any signals, any bits) in that one
+        pass; cycles count from each tile's own start.
         """
-        m, k = a.shape
-        n = b.shape[1]
+        _, m, k = a.shape
+        n = b.shape[2]
         in_t = self.config.input_dtype
         acc_t = self.config.acc_dtype
         macs = {(f.site.row, f.site.col) for f in self.injector.fault_set}
@@ -209,22 +222,25 @@ class FunctionalSimulator:
             b_faults = self.injector.faults_at(r, c, SIGNAL_B_REG)
             p_faults = self.injector.faults_at(r, c, SIGNAL_PRODUCT)
             s_faults = self.injector.faults_at(r, c, SIGNAL_SUM)
-            acc = int(bias[r, c])
-            for cycle in range(total_cycles):
-                step = cycle - r - c
-                av = in_t.wrap(int(a[r, step])) if 0 <= step < k else 0
-                bv = in_t.wrap(int(b[step, c])) if 0 <= step < k else 0
-                for fault in a_faults:
-                    av = fault.apply(av, in_t, cycle)
-                for fault in b_faults:
-                    bv = fault.apply(bv, in_t, cycle)
-                product = acc_t.wrap(av * bv)
-                for fault in p_faults:
-                    product = fault.apply(product, acc_t, cycle)
-                acc = acc_t.wrap(product + acc)
-                for fault in s_faults:
-                    acc = fault.apply(acc, acc_t, cycle)
-            out[r, c] = acc
+            a_rows = a[:, r, :].tolist()
+            b_cols = b[:, :, c].tolist()
+            accs = bias[:, r, c].tolist()
+            for t, (a_row, b_col, acc) in enumerate(zip(a_rows, b_cols, accs)):
+                for cycle in range(total_cycles):
+                    step = cycle - r - c
+                    av = a_row[step] if 0 <= step < k else 0
+                    bv = b_col[step] if 0 <= step < k else 0
+                    for fault in a_faults:
+                        av = fault.apply(av, in_t, cycle)
+                    for fault in b_faults:
+                        bv = fault.apply(bv, in_t, cycle)
+                    product = acc_t.wrap(av * bv)
+                    for fault in p_faults:
+                        product = fault.apply(product, acc_t, cycle)
+                    acc = acc_t.wrap(product + acc)
+                    for fault in s_faults:
+                        acc = fault.apply(acc, acc_t, cycle)
+                out[t, r, c] = acc
 
     # ------------------------------------------------------------------
     # WS fault overlay
@@ -241,35 +257,36 @@ class FunctionalSimulator:
         In WS, the partial sum of output row ``m`` in column ``c`` traverses
         every mesh row ``i`` (stationary weight ``W[i, c]``, zero beyond the
         weight tile) at cycle ``m + i + c``. The chain is recomputed
-        vectorised over ``m`` with faults applied at each traversed row.
+        vectorised over the stack and ``m`` with faults applied at each
+        traversed row; cycles count from each tile's own start.
         """
-        m_dim, k = a.shape
-        n = w.shape[1]
+        tiles, m_dim, k = a.shape
+        n = w.shape[2]
         rows = self.config.rows
         in_t = self.config.input_dtype
         acc_t = self.config.acc_dtype
         m_index = np.arange(m_dim, dtype=np.int64)
         # Hoisted out of the per-row chain: _apply_faults_vec never
-        # mutates its operand, so one shared zero column is safe.
-        zero_col = np.zeros(m_dim, dtype=np.int64)
+        # mutates its operand, so one shared zero block is safe.
+        zero = np.zeros((tiles, m_dim), dtype=np.int64)
         faulty_cols = sorted(
             {f.site.col for f in self.injector.fault_set if f.site.col < n}
         )
         for c in faulty_cols:
-            psum = bias[:, c].copy()
+            psum = bias[:, :, c]
             for i in range(rows):
                 cycles = m_index + i + c
-                av = a[:, i].copy() if i < k else zero_col
-                wv_arr = np.full(
-                    m_dim, int(w[i, c]) if i < k else 0, dtype=np.int64
-                )
+                av = a[:, :, i] if i < k else zero
+                wv = w[:, i : i + 1, c] if i < k else zero[:, :1]
                 a_faults = self.injector.faults_at(i, c, SIGNAL_A_REG)
                 if a_faults:
                     av = _apply_faults_vec(a_faults, av, in_t, cycles)
                 b_faults = self.injector.faults_at(i, c, SIGNAL_B_REG)
                 if b_faults:
-                    wv_arr = _apply_faults_vec(b_faults, wv_arr, in_t, cycles)
-                product = wrap_array(av * wv_arr, acc_t)
+                    wv = _apply_faults_vec(
+                        b_faults, np.broadcast_to(wv, av.shape), in_t, cycles
+                    )
+                product = wrap_array(av * wv, acc_t)
                 p_faults = self.injector.faults_at(i, c, SIGNAL_PRODUCT)
                 if p_faults:
                     product = _apply_faults_vec(p_faults, product, acc_t, cycles)
@@ -277,4 +294,4 @@ class FunctionalSimulator:
                 s_faults = self.injector.faults_at(i, c, SIGNAL_SUM)
                 if s_faults:
                     psum = _apply_faults_vec(s_faults, psum, acc_t, cycles)
-            out[:, c] = psum
+            out[:, :, c] = psum

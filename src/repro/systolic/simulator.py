@@ -18,14 +18,14 @@ import numpy as np
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.obs.trace import NULL_RECORDER
 from repro.systolic.array import MeshConfig, SystolicArray
-from repro.systolic.dataflow import Dataflow, make_schedule
+from repro.systolic.dataflow import Dataflow, as_tile_stack, make_schedule
 from repro.systolic.signals import SignalProbe
 
 __all__ = ["CycleSimulator"]
 
 
 class CycleSimulator:
-    """Cycle-accurate executor of single-tile matmuls on a systolic mesh.
+    """Cycle-accurate executor of tile matmuls on a systolic mesh.
 
     Parameters
     ----------
@@ -69,18 +69,38 @@ class CycleSimulator:
         dataflow: Dataflow,
         bias: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Compute one tile ``A @ B (+ bias)`` under ``dataflow``.
+        """Compute ``A @ B (+ bias)`` under ``dataflow``, one tile or a stack.
 
         Operands must respect the dataflow's mesh constraints (see
         :mod:`repro.systolic.dataflow`); larger operands must be tiled by
-        :mod:`repro.ops` first.
+        :mod:`repro.ops` first. A stack of ``T`` equal-shape tiles
+        (operands ``(T, M, K)`` and ``(T, K, N)``, bias ``(T, M, N)``, see
+        :func:`~repro.systolic.dataflow.as_tile_stack`) runs tile by tile
+        in stack order, each with its own ``cycle.matmul`` span, exactly as
+        ``T`` single calls would.
 
         Returns
         -------
         numpy.ndarray
-            ``(M, N)`` int64 array of wrapped INT32 results — bit-exact with
-            the hardware, including any injected fault effects.
+            ``(M, N)`` (or ``(T, M, N)``) int64 array of wrapped INT32
+            results — bit-exact with the hardware, including any injected
+            fault effects.
         """
+        a, b, bias, stacked = as_tile_stack(a, b, bias)
+        outputs = [
+            self._tile(a[t], b[t], dataflow, None if bias is None else bias[t])
+            for t in range(a.shape[0])
+        ]
+        return np.stack(outputs) if stacked else outputs[0]
+
+    def _tile(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        dataflow: Dataflow,
+        bias: np.ndarray | None,
+    ) -> np.ndarray:
+        """Run one tile through the mesh, cycle by cycle."""
         recorder = self.recorder
         with recorder.span("cycle.matmul", cat="simulator"):
             with recorder.span("cycle.setup", cat="simulator"):
