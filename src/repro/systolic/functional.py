@@ -21,8 +21,9 @@ bias ``(T, M, N)``) and returns what ``T`` single-tile calls would, in
 stack order; ``cycles_elapsed`` and ``tiles_executed`` add up per tile.
 The golden part is one stacked ``a @ b + bias``; the WS/IS overlay
 vectorises its per-mesh-row chain over (stack x output rows), and the OS
-overlay runs its scalar recurrence once per tile. Fault cycles count from
-each tile's own start, as in the cycle engine.
+overlay makes one pass per faulty MAC over (stack x cycles) operand
+streams, walking the cycles only for a ``sum`` fault. Fault cycles count
+from each tile's own start, as in the cycle engine.
 
 The equivalence ``FunctionalSimulator == CycleSimulator`` for every
 (operand, dataflow, fault) combination is enforced by property-based tests
@@ -91,6 +92,45 @@ def _apply_faults_vec(
                 dtype=np.int64,
             ).reshape(values.shape)
     return values
+
+
+def _walk_sum_faults(
+    faults: tuple[FaultDescriptor, ...],
+    products: np.ndarray,
+    acc: np.ndarray,
+    dtype: IntType,
+) -> np.ndarray:
+    """Walk a faulty accumulator ``acc = faults(acc + product)`` cycle by cycle.
+
+    ``products`` is ``(cycles, stack)``, one row per cycle; ``acc`` holds
+    the ``(stack,)`` starting values. Returns the final accumulators in
+    ``dtype``'s bits; the caller wraps them. When every fault is an exact
+    stuck-at, each cycle is three in-place ops on the masked unsigned
+    value: forcing a bit below the width commutes with the mask, and the
+    last fault registered on a bit wins, as in :meth:`FaultInjector.perturb`.
+    Any other descriptor applies through :func:`_apply_faults_vec`.
+    """
+    if all(type(fault) is StuckAtFault for fault in faults):
+        set_bits = clear_bits = 0
+        for fault in faults:
+            dtype.check_bit(fault.site.bit)
+            bit = 1 << fault.site.bit
+            if fault.stuck_value:
+                set_bits, clear_bits = set_bits | bit, clear_bits & ~bit
+            else:
+                set_bits, clear_bits = set_bits & ~bit, clear_bits | bit
+        # 0-d arrays, not numpy scalars: in-place ops take them faster.
+        keep = np.array(dtype.mask & ~clear_bits, dtype=np.int64)
+        force = np.array(set_bits, dtype=np.int64)
+        acc = acc & np.int64(dtype.mask)
+        for product in products:
+            acc += product
+            acc &= keep
+            acc |= force
+        return acc
+    for cycle, product in enumerate(products):
+        acc = _apply_faults_vec(faults, wrap_array(acc + product, dtype), dtype, cycle)
+    return acc
 
 
 class FunctionalSimulator:
@@ -206,41 +246,43 @@ class FunctionalSimulator:
         ``r + c + k`` for reduction step ``k``; all other cycles are idle
         (zero operands) but still pass through the faulty datapath — which
         matters for stuck-at faults on the product or operand signals.
-        Each faulty MAC's recurrence runs once per tile of the stack,
-        applying all of its faults (any signals, any bits) in that one
-        pass; cycles count from each tile's own start.
+        Each faulty MAC takes one pass per call over ``(stack, cycles)``
+        operand streams: its operand and product faults apply to the whole
+        streams at once, and its accumulator chain collapses to one sum
+        unless a ``sum`` fault makes it walk the cycles over the stack.
+        Cycles count from each tile's own start.
         """
-        _, m, k = a.shape
+        tiles, m, k = a.shape
         n = b.shape[2]
         in_t = self.config.input_dtype
         acc_t = self.config.acc_dtype
+        cycles = np.arange(total_cycles, dtype=np.int64)
         macs = {(f.site.row, f.site.col) for f in self.injector.fault_set}
         for r, c in sorted(macs):
             if r >= m or c >= n:
                 continue  # fault lands in an unused PE: masked by mapping
+            live = slice(r + c, r + c + k)
+            av = np.zeros((tiles, total_cycles), dtype=np.int64)
+            bv = np.zeros((tiles, total_cycles), dtype=np.int64)
+            av[:, live] = a[:, r, :]
+            bv[:, live] = b[:, :, c]
             a_faults = self.injector.faults_at(r, c, SIGNAL_A_REG)
+            if a_faults:
+                av = _apply_faults_vec(a_faults, av, in_t, cycles)
             b_faults = self.injector.faults_at(r, c, SIGNAL_B_REG)
+            if b_faults:
+                bv = _apply_faults_vec(b_faults, bv, in_t, cycles)
+            product = wrap_array(av * bv, acc_t)
             p_faults = self.injector.faults_at(r, c, SIGNAL_PRODUCT)
+            if p_faults:
+                product = _apply_faults_vec(p_faults, product, acc_t, cycles)
             s_faults = self.injector.faults_at(r, c, SIGNAL_SUM)
-            a_rows = a[:, r, :].tolist()
-            b_cols = b[:, :, c].tolist()
-            accs = bias[:, r, c].tolist()
-            for t, (a_row, b_col, acc) in enumerate(zip(a_rows, b_cols, accs)):
-                for cycle in range(total_cycles):
-                    step = cycle - r - c
-                    av = a_row[step] if 0 <= step < k else 0
-                    bv = b_col[step] if 0 <= step < k else 0
-                    for fault in a_faults:
-                        av = fault.apply(av, in_t, cycle)
-                    for fault in b_faults:
-                        bv = fault.apply(bv, in_t, cycle)
-                    product = acc_t.wrap(av * bv)
-                    for fault in p_faults:
-                        product = fault.apply(product, acc_t, cycle)
-                    acc = acc_t.wrap(product + acc)
-                    for fault in s_faults:
-                        acc = fault.apply(acc, acc_t, cycle)
-                out[t, r, c] = acc
+            if not s_faults:
+                # Wrapping is modular: one wrap of the whole chain.
+                acc = product.sum(axis=1, dtype=np.int64) + bias[:, r, c]
+            else:
+                acc = _walk_sum_faults(s_faults, product.T, bias[:, r, c], acc_t)
+            out[:, r, c] = wrap_array(acc, acc_t)
 
     # ------------------------------------------------------------------
     # WS fault overlay

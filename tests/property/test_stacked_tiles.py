@@ -8,7 +8,10 @@ pin the contract three ways:
 * a stack equals its tiles run one by one, on both engines, outputs and
   the ``cycles_elapsed`` / ``tiles_executed`` counters alike, over
   OS/WS/IS, ragged tile shapes, bias or none, stuck-at faults on all four
-  MAC signals, transient windows and a generic descriptor;
+  MAC signals (stuck-at-0 and the sign bit on ``sum`` included), several
+  faults on one MAC, two faulty MACs, transient windows (one over the OS
+  idle fill) and a generic descriptor, and the functional engine's stack
+  equals the cycle engine's;
 * :class:`TiledGemm` equals a per-tile reference loop, under ``"mesh"``
   and ``"memory"`` reduction, with tile overrides and ragged edges;
 * a traced cycle-engine GEMM still records one ``cycle.matmul`` span per
@@ -44,19 +47,42 @@ ENGINES = (CycleSimulator, FunctionalSimulator)
 STACK = 3
 
 
-def _site(signal: str, row: int = 1, col: int = 1) -> FaultSite:
-    return FaultSite(row=row, col=col, signal=signal, bit=5)
+def _site(signal: str, row: int = 1, col: int = 1, bit: int = 5) -> FaultSite:
+    return FaultSite(row=row, col=col, signal=signal, bit=bit)
 
 
-#: One fault set per case: stuck-at on each MAC signal, a transient window
-#: and a generic (non-vectorised) descriptor.
+#: One fault set per case: stuck-at on each MAC signal, stuck-at-0 and the
+#: sign bit on ``sum``, several faults on one MAC, two faulty MACs (one at
+#: (3, 3), outside every ragged tile), transient windows and a generic
+#: (non-vectorised) descriptor.
 FAULTS = {
     **{
         f"stuck-{signal}": FaultSet.of(StuckAtFault(_site(signal), stuck_value=1))
         for signal in MAC_SIGNALS
     },
+    "stuck0-sum": FaultSet.of(StuckAtFault(_site(SIGNAL_SUM), stuck_value=0)),
+    "stuck-sum-sign": FaultSet.of(
+        StuckAtFault(_site(SIGNAL_SUM, bit=31), stuck_value=1)
+    ),
+    "stuck0-sum-sign": FaultSet.of(
+        StuckAtFault(_site(SIGNAL_SUM, bit=31), stuck_value=0)
+    ),
+    "four-on-one-mac": FaultSet.of(
+        StuckAtFault(_site(SIGNAL_A_REG), stuck_value=0),
+        StuckAtFault(_site(SIGNAL_PRODUCT), stuck_value=1),
+        StuckAtFault(_site(SIGNAL_SUM, bit=12), stuck_value=1),
+        StuckAtFault(_site(SIGNAL_SUM, bit=3), stuck_value=0),
+    ),
+    "two-macs": FaultSet.of(
+        StuckAtFault(_site(SIGNAL_SUM), stuck_value=1),
+        StuckAtFault(_site(SIGNAL_PRODUCT, row=3, col=3), stuck_value=1),
+    ),
     "transient-window": FaultSet.of(
         TransientBitFlip(_site(SIGNAL_SUM), start_cycle=3, end_cycle=7)
+    ),
+    # Cycles 0-2: PE (1, 1)'s OS idle fill and its first live cycle.
+    "transient-a-fill": FaultSet.of(
+        TransientBitFlip(_site(SIGNAL_A_REG), start_cycle=0, end_cycle=2)
     ),
     "generic-bridge": FaultSet.of(
         BridgingFault(_site(SIGNAL_SUM), other_bit=9, mode="or")
